@@ -15,6 +15,11 @@
 //!   session committing inserts continuously. The acceptance gate
 //!   compares `k16_busy` p99 against `k16_idle` p99 (≤ 3× — see
 //!   `scripts/server_smoke.sh`).
+//! * `server_pin_{1k,10k,100k}` — criterion rows: `SharedKernel::pin`
+//!   right after a one-row commit on an extent of that many rows, so
+//!   every pin publishes a fresh view (one freeze). The gate requires
+//!   pin(100k) ≤ 10 × pin(1k): a freeze shares pages instead of
+//!   copying the extent, where a deep copy scales ~240×.
 //!
 //! The K-sweep rows carry real percentiles, which criterion's
 //! iteration model cannot express, so this bench appends them to
@@ -25,7 +30,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gaea_adt::{TypeTag, Value};
-use gaea_core::kernel::{ClassSpec, Gaea};
+use gaea_core::kernel::{ClassSpec, Gaea, SharedKernel};
 use gaea_server::{Client, Server, ServerConfig};
 use gaea_workload::driver::{drive, DriveReport, DriveSpec};
 use std::io::Write as _;
@@ -51,6 +56,34 @@ fn seeded() -> Gaea {
             .expect("seed insert");
     }
     g
+}
+
+/// Extent sizes of the `server_pin_*` rows.
+const PIN_SIZES: [(usize, &str); 3] = [(1_000, "1k"), (10_000, "10k"), (100_000, "100k")];
+
+/// A shared kernel holding one `ext {v, g}` extent of `rows` rows
+/// (two attributes, like the benchmark's catalog extent); returns it
+/// with the OID the commit loop rewrites.
+fn extent_kernel(rows: usize) -> (std::sync::Arc<SharedKernel>, gaea_core::ObjectId) {
+    let mut g = Gaea::in_memory();
+    g.define_class(
+        ClassSpec::base("ext")
+            .attr("v", TypeTag::Int4)
+            .attr("g", TypeTag::Int4)
+            .no_extents(),
+    )
+    .expect("ext class");
+    let mut first = None;
+    for v in 0..rows as i32 {
+        let oid = g
+            .insert_object(
+                "ext",
+                vec![("v", Value::Int4(v)), ("g", Value::Int4(v % 64))],
+            )
+            .expect("seed insert");
+        first.get_or_insert(oid);
+    }
+    (SharedKernel::new(g), first.expect("rows > 0"))
 }
 
 /// Start an in-process server sized for the sweep; returns its address
@@ -109,6 +142,24 @@ fn bench(c: &mut Criterion) {
         group.bench_function("server_roundtrip_ping", |b| {
             b.iter(|| client.ping().expect("ping"))
         });
+        // Pin cost vs extent size: commit one row (untimed), then time
+        // the pin that publishes the new state.
+        for (rows, label) in PIN_SIZES {
+            let (kernel, oid) = extent_kernel(rows);
+            let mut v = 0;
+            group.bench_function(format!("server_pin_{label}"), |b| {
+                b.iter_batched(
+                    || {
+                        v += 1;
+                        kernel
+                            .exec(|g| g.update_object(oid, vec![("v", Value::Int4(-v))]))
+                            .expect("commit");
+                    },
+                    |()| kernel.pin(),
+                    criterion::BatchSize::PerIteration,
+                )
+            });
+        }
         group.finish();
     }
 

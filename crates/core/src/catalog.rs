@@ -3,7 +3,10 @@
 //!
 //! All catalog entities are kept in ordered maps (deterministic iteration)
 //! and serialized as one JSON document into the store snapshot, alongside
-//! the per-class object relations. Definitions are immutable once
+//! the per-class object relations. The maps that grow with data or
+//! history — the object directory, the task history and its indexes —
+//! are paged copy-on-write ([`gaea_store::paged`]), so cloning a catalog
+//! (a freeze) costs O(pages) and shares every task record. Definitions are immutable once
 //! registered — the paper's "in no case is the old process overwritten"
 //! generalized to every catalog kind.
 
@@ -12,8 +15,11 @@ use crate::experiment::Experiment;
 use crate::ids::{ClassId, ConceptId, ExperimentId, ObjectId, ProcessId, TaskId};
 use crate::schema::{ClassDef, Concept, ProcessDef};
 use crate::task::Task;
+use gaea_store::paged::PagedMap;
+use gaea_store::Oid;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The catalog body.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -24,12 +30,13 @@ pub struct Catalog {
     pub concepts: BTreeMap<ConceptId, Concept>,
     /// Processes.
     pub processes: BTreeMap<ProcessId, ProcessDef>,
-    /// Tasks (append-only).
-    pub tasks: BTreeMap<TaskId, Task>,
+    /// Tasks (append-only). Each record sits behind its own `Arc`, so a
+    /// write to a page shared with a freeze copies pointers, not tasks.
+    pub tasks: PagedMap<TaskId, Arc<Task>>,
     /// Experiments.
     pub experiments: BTreeMap<ExperimentId, Experiment>,
     /// Object directory: which class each stored object belongs to.
-    pub object_class: BTreeMap<ObjectId, ClassId>,
+    pub object_class: PagedMap<ObjectId, ClassId>,
     /// Name indexes.
     class_names: BTreeMap<String, ClassId>,
     concept_names: BTreeMap<String, ConceptId>,
@@ -40,14 +47,15 @@ pub struct Catalog {
     /// entry). Not serialized — rebuilt via [`Catalog::rebuild_task_index`]
     /// after a load.
     #[serde(skip)]
-    produced_by: BTreeMap<ObjectId, TaskId>,
-    /// Reverse index process → its recorded tasks, in task-id order (ids
-    /// are allocated monotonically, so append order *is* id order). The
-    /// query mechanism's dedup walk and the scheduler's impact analysis
-    /// consult this instead of scanning the whole task map. Not
-    /// serialized — rebuilt via [`Catalog::rebuild_task_index`].
+    produced_by: PagedMap<ObjectId, TaskId>,
+    /// Reverse index process → its recorded tasks, as an ordered set of
+    /// `(process, task)` pairs: one process's tasks form a contiguous
+    /// run in task-id (= recording) order. The query mechanism's dedup
+    /// walk and the scheduler's impact analysis consult this instead of
+    /// scanning the whole task map. Not serialized — rebuilt via
+    /// [`Catalog::rebuild_task_index`].
     #[serde(skip)]
-    tasks_by_process: BTreeMap<ProcessId, Vec<TaskId>>,
+    tasks_by_process: PagedMap<(ProcessId, TaskId), ()>,
     /// Logical clock for task ordering.
     pub next_seq: u64,
 }
@@ -117,13 +125,10 @@ impl Catalog {
             // First producer wins: a compound umbrella re-lists its last
             // step's outputs, but the step (added first, lower id) is the
             // object's real producer.
-            self.produced_by.entry(*out).or_insert(task.id);
+            self.produced_by.get_or_insert_with(*out, || task.id);
         }
-        self.tasks_by_process
-            .entry(task.process)
-            .or_default()
-            .push(task.id);
-        self.tasks.insert(task.id, task);
+        self.tasks_by_process.insert((task.process, task.id), ());
+        self.tasks.insert(task.id, Arc::new(task));
     }
 
     /// Remove a task record (compound compensation), unlinking it from the
@@ -135,33 +140,28 @@ impl Catalog {
                 self.produced_by.remove(out);
             }
         }
-        if let Some(ids) = self.tasks_by_process.get_mut(&task.process) {
-            ids.retain(|t| *t != id);
-            if ids.is_empty() {
-                self.tasks_by_process.remove(&task.process);
-            }
-        }
-        Some(task)
+        self.tasks_by_process.remove(&(task.process, id));
+        Some(Arc::unwrap_or_clone(task))
     }
 
     /// Rebuild the object → producing-task and process → tasks indexes
     /// from the task map. Called after deserializing a catalog (the
     /// indexes are not persisted).
     pub fn rebuild_task_index(&mut self) {
-        self.produced_by.clear();
-        self.tasks_by_process.clear();
-        // Iterate in id order so the earliest producer wins and the
-        // per-process lists come out id-sorted, exactly as incremental
-        // `add_task` maintenance would have left them.
-        for (id, task) in &self.tasks {
+        // Iterate in id order so the earliest producer wins, exactly as
+        // incremental `add_task` maintenance would have left it.
+        let mut produced_by = BTreeMap::new();
+        for (id, task) in self.tasks.iter() {
             for out in &task.outputs {
-                self.produced_by.entry(*out).or_insert(*id);
+                produced_by.entry(*out).or_insert(*id);
             }
-            self.tasks_by_process
-                .entry(task.process)
-                .or_default()
-                .push(*id);
         }
+        self.produced_by = produced_by.into_iter().collect();
+        self.tasks_by_process = self
+            .tasks
+            .values()
+            .map(|task| ((task.process, task.id), ()))
+            .collect();
     }
 
     /// Recorded tasks of one process, in task-id (= recording) order.
@@ -169,11 +169,11 @@ impl Catalog {
     /// mechanism's duplicate-derivation walk runs this per firing, and
     /// used to scan every task on record instead.
     pub fn tasks_of_process(&self, pid: ProcessId) -> impl Iterator<Item = &Task> {
+        let first = (pid, TaskId(Oid(0)));
+        let last = (pid, TaskId(Oid(u64::MAX)));
         self.tasks_by_process
-            .get(&pid)
-            .into_iter()
-            .flatten()
-            .filter_map(|id| self.tasks.get(id))
+            .range(first..=last)
+            .filter_map(|((_, id), ())| self.tasks.get(id).map(|t| &**t))
     }
 
     /// Allocate the next task sequence number.
@@ -269,10 +269,13 @@ impl Catalog {
 
     /// Task by id.
     pub fn task(&self, id: TaskId) -> KernelResult<&Task> {
-        self.tasks.get(&id).ok_or(KernelError::NoSuchId {
-            kind: "task",
-            id: id.raw(),
-        })
+        self.tasks
+            .get(&id)
+            .map(|t| &**t)
+            .ok_or(KernelError::NoSuchId {
+                kind: "task",
+                id: id.raw(),
+            })
     }
 
     /// Owning class of a stored object.
@@ -290,7 +293,10 @@ impl Catalog {
     /// have none). O(log n) through the producer index — staleness
     /// classification calls this once per ancestor on hot query paths.
     pub fn producing_task(&self, obj: ObjectId) -> Option<&Task> {
-        self.produced_by.get(&obj).and_then(|id| self.tasks.get(id))
+        self.produced_by
+            .get(&obj)
+            .and_then(|id| self.tasks.get(id))
+            .map(|t| &**t)
     }
 
     /// All member classes of a concept, including those inherited from

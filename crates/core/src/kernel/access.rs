@@ -90,7 +90,7 @@ impl Candidate {
         match self {
             Candidate::Eq { pos, value, .. } => rel
                 .index_for(*pos)
-                .map(|idx| idx.lookup(value).to_vec())
+                .map(|idx| idx.lookup(value))
                 .unwrap_or_default(),
             Candidate::Range { pos, lo, hi, .. } => rel
                 .index_for(*pos)

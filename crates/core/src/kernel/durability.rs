@@ -33,16 +33,26 @@
 //! the log into a `snap-<seq>/` directory, flip the `CURRENT` pointer
 //! atomically, and truncate the log; unresolved job submissions ride in
 //! the snapshot's `jobs.json`. By default the fold runs *off* the
-//! commit path: the committing thread clones the database state
-//! ([`gaea_store::snapshot::capture_with_wal_seq`]) and hands it to a
-//! detached compactor thread that writes the snapshot to a `snap-*.tmp`
-//! side directory and flips `CURRENT`, while commits keep appending;
+//! commit path: the committing thread freezes the kernel state
+//! ([`Gaea::freeze`] — O(pages), no data copied) and hands the frozen
+//! store and catalog to a detached compactor thread that serializes
+//! both, writes the snapshot to a `snap-*.tmp` side directory and flips
+//! `CURRENT`, while commits keep appending;
 //! the committing thread later truncates exactly the covered log prefix
 //! ([`WalWriter::truncate_prefix`] — an atomic stage-and-rename clip,
 //! never an in-place rewrite) when it observes the fold finished
 //! ([`Gaea::poll_compaction`]). [`Gaea::checkpoint`] remains the
 //! synchronous fallback, and every flush/close boundary settles an
 //! in-flight fold first.
+//!
+//! Every snapshot file is fsynced before its directory is renamed into
+//! place, and every rename is followed by an fsync of the directory
+//! that holds it, in this order: `manifest.json`, `catalog.json`,
+//! `jobs.json` and `snap-<seq>.tmp/`; the rename to `snap-<seq>` and the
+//! data directory; `CURRENT.tmp`; the rename to `CURRENT` and the data
+//! directory — and only then is the log prefix clipped. A power loss
+//! therefore never leaves `CURRENT` naming files that are not on disk
+//! after the log events they replace are gone.
 //!
 //! Crashing anywhere in either sequence is safe: before the pointer
 //! flip the old snapshot + full log recover (half-written `snap-*.tmp`
@@ -51,7 +61,7 @@
 //! `scripts/crash_matrix.sh` for the fault-injection lane that drives
 //! aborts through every boundary, background ones included.
 
-use super::{jobs, Gaea, SharedCache};
+use super::{jobs, Gaea, ReadView, SharedCache};
 use crate::catalog::Catalog;
 use crate::error::{KernelError, KernelResult};
 use crate::experiment::Experiment;
@@ -61,7 +71,6 @@ use crate::schema::{ClassDef, Concept, ProcessDef};
 use crate::task::Task;
 use gaea_adt::OperatorRegistry;
 use gaea_sched::{JobId, Scheduler};
-use gaea_store::snapshot::Capture;
 use gaea_store::wal::WalWriter;
 use gaea_store::{CrashPoint, CrashSwitch, Oid, StoreError, Tuple};
 use serde::{Deserialize, Serialize};
@@ -121,11 +130,11 @@ pub struct DurabilityOptions {
     /// Encoding for newly appended records (replay handles any mix).
     pub codec: WalCodec,
     /// Run cadence-triggered snapshots on a background compactor thread
-    /// (the default): the committing call pays a state clone, not the
-    /// serialization and I/O, and the log prefix the snapshot covers is
-    /// truncated once the fold is observed complete. `false` folds
-    /// synchronously on the committing thread, exactly like an explicit
-    /// [`Gaea::checkpoint`].
+    /// (the default): the committing call pays one [`Gaea::freeze`]
+    /// (O(pages), no data copied), not the serialization and I/O, and
+    /// the log prefix the snapshot covers is truncated once the fold is
+    /// observed complete. `false` folds synchronously on the committing
+    /// thread, exactly like an explicit [`Gaea::checkpoint`].
     pub background_compaction: bool,
 }
 
@@ -525,9 +534,14 @@ impl Gaea {
                 .catalog
                 .tasks
                 .range((Bound::Excluded(high), Bound::Unbounded))
-                .map(|(_, t)| t.clone())
+                .map(|(_, t)| Task::clone(t))
                 .collect(),
-            None => self.catalog.tasks.values().cloned().collect(),
+            None => self
+                .catalog
+                .tasks
+                .values()
+                .map(|t| Task::clone(t))
+                .collect(),
         };
         if new_tasks.is_empty() {
             return Ok(());
@@ -558,9 +572,9 @@ impl Gaea {
         })
     }
 
-    /// Flush pending version ticks and serialize the sidecar state every
-    /// snapshot needs: the catalog and the unresolved job submissions.
-    fn snapshot_sidecars(&mut self) -> KernelResult<(String, String)> {
+    /// Flush pending version ticks and serialize the unresolved job
+    /// submissions every snapshot carries in `jobs.json`.
+    fn snapshot_jobs(&mut self) -> KernelResult<String> {
         // Ticks from failed operations must not sit in the journal across
         // the snapshot boundary: the snapshot's counters already include
         // them, so attaching them to a later event would double-apply on
@@ -568,7 +582,6 @@ impl Gaea {
         if self.db.version_journal_pending() {
             self.wal_append_inner(Event::VersionAdvance, false)?;
         }
-        let catalog_json = serde_json::to_string(&self.catalog).map_err(codec_err)?;
         let jobs: Vec<JournaledJob> = self
             .jobs
             .unresolved_submissions()
@@ -579,8 +592,7 @@ impl Gaea {
                 bindings,
             })
             .collect();
-        let jobs_json = serde_json::to_string(&jobs).map_err(codec_err)?;
-        Ok((catalog_json, jobs_json))
+        serde_json::to_string(&jobs).map_err(codec_err)
     }
 
     /// The truncation watermark moved: recovery-era stats that kept
@@ -611,22 +623,15 @@ impl Gaea {
             return Ok(());
         }
         self.settle_compaction()?;
-        let (catalog_json, jobs_json) = self.snapshot_sidecars()?;
+        let jobs_json = self.snapshot_jobs()?;
         let d = self.durability.as_mut().expect("checked above");
         d.wal.sync().map_err(io_err)?;
         let snap_seq = d.seq;
         let started = Instant::now();
-        let capture = gaea_store::snapshot::capture_with_wal_seq(&self.db, snap_seq);
+        let frozen = self.freeze();
         let d = self.durability.as_mut().expect("checked above");
-        write_snapshot(
-            &d.dir,
-            snap_seq,
-            &capture,
-            &catalog_json,
-            &jobs_json,
-            d.wal.crash_switch(),
-        )
-        .map_err(io_err)?;
+        write_snapshot(&d.dir, snap_seq, &frozen, &jobs_json, d.wal.crash_switch())
+            .map_err(io_err)?;
         // Fault-injection boundaries: the snapshot is authoritative but
         // the log still holds its events.
         d.wal.crash_point(CrashPoint::PostFlipPreTruncate);
@@ -643,9 +648,10 @@ impl Gaea {
     }
 
     /// Start folding the log into a snapshot on a background compactor
-    /// thread. The committing thread pays a state clone; the worker
-    /// writes the snapshot to a `snap-<seq>.tmp` side directory, renames
-    /// it into place and flips `CURRENT`. The log is *not* touched here —
+    /// thread. The committing thread pays one [`Gaea::freeze`] (O(pages));
+    /// the worker serializes the frozen store and catalog, writes the
+    /// snapshot to a `snap-<seq>.tmp` side directory, renames it into
+    /// place and flips `CURRENT`. The log is *not* touched here —
     /// [`Gaea::poll_compaction`] truncates the covered prefix once the
     /// fold is observed complete. No-op while a fold is already running.
     pub(crate) fn begin_background_compaction(&mut self) -> KernelResult<()> {
@@ -655,24 +661,21 @@ impl Gaea {
         if d.inflight.is_some() {
             return Ok(());
         }
-        let (catalog_json, jobs_json) = self.snapshot_sidecars()?;
+        let jobs_json = self.snapshot_jobs()?;
         let d = self.durability.as_mut().expect("checked above");
         // Everything the snapshot will claim must be durable before the
         // pointer can flip to it.
         d.wal.sync().map_err(io_err)?;
         let seq = d.seq;
         let covered = d.wal.log_len();
-        let capture = gaea_store::snapshot::capture_with_wal_seq(&self.db, seq);
+        let frozen = self.freeze();
         let d = self.durability.as_mut().expect("checked above");
         let dir = d.dir.clone();
         let switch = d.wal.crash_switch();
         let started = Instant::now();
         let handle = std::thread::Builder::new()
             .name("gaea-compactor".into())
-            .spawn(move || {
-                write_snapshot(&dir, seq, &capture, &catalog_json, &jobs_json, switch)
-                    .map_err(|e| e.to_string())
-            })
+            .spawn(move || write_snapshot(&dir, seq, &frozen, &jobs_json, switch))
             .map_err(io_err)?;
         d.inflight = Some(InflightCompaction {
             handle,
@@ -778,39 +781,45 @@ impl Gaea {
     }
 }
 
-/// Write one complete snapshot — store manifest (from a pre-cloned
-/// [`Capture`]), catalog, unresolved jobs — into `snap-<seq>.tmp`,
-/// rename it to `snap-<seq>`, and flip `CURRENT` to it. Runs on the
-/// committing thread (synchronous [`Gaea::checkpoint`]) or the
-/// background compactor; the crash switch fires the snapshot-side
-/// fault-injection points in whichever thread that is.
+/// Write one complete snapshot of a frozen kernel state — store
+/// manifest, catalog, unresolved jobs — into `snap-<seq>.tmp`, rename it
+/// to `snap-<seq>`, and flip `CURRENT` to it, fsyncing each file before
+/// its directory is renamed and each directory after a rename lands in
+/// it (see the module docs for the order). Runs on the committing thread
+/// (synchronous [`Gaea::checkpoint`]) or the background compactor; the
+/// crash switch fires the snapshot-side fault-injection points in
+/// whichever thread that is.
 fn write_snapshot(
     dir: &Path,
     seq: u64,
-    capture: &Capture,
-    catalog_json: &str,
+    frozen: &ReadView,
     jobs_json: &str,
     switch: CrashSwitch,
 ) -> Result<(), String> {
+    use gaea_store::snapshot::{sync_dir, write_synced};
     let io = |e: &dyn std::fmt::Display| format!("snapshot write: {e}");
     let snap_name = format!("snap-{seq}");
     let tmp = dir.join(format!("{snap_name}.tmp"));
     let _ = fs::remove_dir_all(&tmp);
-    gaea_store::snapshot::write_capture(capture, &tmp).map_err(|e| io(&e))?;
+    gaea_store::snapshot::save_with_wal_seq(frozen.store(), &tmp, seq).map_err(|e| io(&e))?;
     // Fault-injection boundary: the side directory holds the manifest
     // but not yet the sidecars — recovery must ignore it wholesale.
     switch.fire_if_armed(CrashPoint::SnapshotWrite, seq);
-    fs::write(tmp.join("catalog.json"), catalog_json).map_err(|e| io(&e))?;
-    fs::write(tmp.join("jobs.json"), jobs_json).map_err(|e| io(&e))?;
+    let catalog_json = serde_json::to_string(frozen.catalog()).map_err(|e| io(&e))?;
+    write_synced(&tmp.join("catalog.json"), catalog_json.as_bytes()).map_err(|e| io(&e))?;
+    write_synced(&tmp.join("jobs.json"), jobs_json.as_bytes()).map_err(|e| io(&e))?;
+    sync_dir(&tmp).map_err(|e| io(&e))?;
     let fin = dir.join(&snap_name);
     let _ = fs::remove_dir_all(&fin);
     fs::rename(&tmp, &fin).map_err(|e| io(&e))?;
+    sync_dir(dir).map_err(|e| io(&e))?;
     // Fault-injection boundary: the snapshot directory is complete but
     // `CURRENT` still names the old one.
     switch.fire_if_armed(CrashPoint::ManifestFlip, seq);
     let cur_tmp = dir.join("CURRENT.tmp");
-    fs::write(&cur_tmp, &snap_name).map_err(|e| io(&e))?;
+    write_synced(&cur_tmp, snap_name.as_bytes()).map_err(|e| io(&e))?;
     fs::rename(&cur_tmp, dir.join("CURRENT")).map_err(|e| io(&e))?;
+    sync_dir(dir).map_err(|e| io(&e))?;
     Ok(())
 }
 

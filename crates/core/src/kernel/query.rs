@@ -93,8 +93,10 @@ impl Gaea {
 
     /// The staged body of [`Gaea::query`], running inside the statement
     /// trace (a failed statement still finalizes the trace through the
-    /// guard's drop).
+    /// guard's drop): a `pin` lap for the prologue, then one lap per
+    /// stage; the tracer's closing `finish` lap covers the epilogue.
     fn query_stages(&mut self, q: &Query) -> KernelResult<QueryOutcome> {
+        drop(gaea_obs::span("pin"));
         let class_names = {
             let _plan = gaea_obs::span("plan");
             let class_names = self.target_classes(q)?;

@@ -3,8 +3,11 @@
 //! A [`ReadView`] is the kernel half of an MVCC read transaction: a
 //! [`gaea_store::PinnedStore`] (frozen relations + version counters)
 //! paired with the catalog and the background-job listing captured at
-//! the same commit point. Every statement the server classifies as
-//! read-only — `RETRIEVE` without `DERIVE`/`FRESH`, `job_status`,
+//! the same commit point by one [`super::Gaea::freeze`]. The freeze
+//! shares every page of data and history with the live kernel, so
+//! pinning costs O(pages) rather than O(data); the live kernel copies a
+//! page only when it next writes to it. Every statement the server
+//! classifies as read-only — `RETRIEVE` without `DERIVE`/`FRESH`, `job_status`,
 //! provenance/EXPLAIN reads — executes here against the pinned state,
 //! holding **no** kernel lock: concurrent readers never block behind a
 //! commit or behind each other, and a reader's answer is always equal to
@@ -101,15 +104,19 @@ impl ReadView {
         result
     }
 
-    /// The staged body of [`ReadView::query`], one span per pipeline
-    /// stage so the tracer's depth-1 laps tile the statement.
+    /// The staged body of [`ReadView::query`]: a `pin` lap for the
+    /// prologue, then one lap per pipeline stage; the tracer's closing
+    /// `finish` lap covers the epilogue, so the laps tile the statement.
     fn query_stages(&self, q: &Query) -> KernelResult<QueryOutcome> {
-        if !Self::is_read_only(q) {
-            return Err(KernelError::Schema(
-                "query needs the commit path (DERIVE/FRESH/ASYNC): \
-                 a snapshot-pinned view only answers plain retrieval"
-                    .into(),
-            ));
+        {
+            let _pin = gaea_obs::span("pin");
+            if !Self::is_read_only(q) {
+                return Err(KernelError::Schema(
+                    "query needs the commit path (DERIVE/FRESH/ASYNC): \
+                     a snapshot-pinned view only answers plain retrieval"
+                        .into(),
+                ));
+            }
         }
         let classes = {
             let _plan = gaea_obs::span("plan");
@@ -186,17 +193,28 @@ impl ReadView {
 }
 
 impl super::Gaea {
-    /// Pin a [`ReadView`] of the current committed state: a deep copy of
-    /// the store (data + counters), the catalog, and the job board, all
-    /// frozen at this instant. Taken through `&self`, so the exclusive
-    /// borrow discipline guarantees the copy never observes a
+    /// Freeze the current committed state into an immutable
+    /// [`ReadView`]: the store (data + counters), the catalog and the job
+    /// board, all as of this instant. Taken through `&self`, so the
+    /// exclusive borrow discipline guarantees the freeze never observes a
     /// half-applied mutation.
     ///
-    /// Cost is one deep copy per call — cache the view per clock value
-    /// ([`super::session::SharedKernel`] does) and re-pin only after
-    /// [`super::Gaea::store_clock`] moves.
+    /// This is the one state-capture path: read views, synchronous
+    /// checkpoints and background compaction all consume it. It copies
+    /// no data — relations and catalog sections are shared by reference
+    /// and stored in copy-on-write pages, so a freeze costs O(relations +
+    /// pages) and the next write to each shared page copies that one
+    /// page ([`gaea_store::paged`]).
+    pub fn freeze(&self) -> ReadView {
+        ReadView::new(self.db.freeze(), self.catalog.clone(), self.job_board())
+    }
+
+    /// Pin a [`ReadView`] of the current committed state — a
+    /// [`super::Gaea::freeze`]. Cheap enough to take per statement;
+    /// [`super::session::SharedKernel`] still caches one per clock value
+    /// so concurrent readers share it.
     pub fn read_view(&self) -> ReadView {
-        ReadView::new(self.db.pin(), self.catalog.clone(), self.job_board())
+        self.freeze()
     }
 
     /// The store's logical commit clock; advances with every mutation.

@@ -18,8 +18,12 @@
 //! sees a stale cached view sets `refresh_wanted` and is served the
 //! cached — still fully consistent — state). Publication happens on the
 //! writer's thread under the kernel lock, so a published view is always
-//! a committed prefix: readers get snapshot isolation, writers pay the
-//! copy, and an idle kernel publishes nothing.
+//! a committed prefix, and an idle kernel publishes nothing. Publishing
+//! is one [`Gaea::freeze`]: it shares every page of data and history
+//! with the live kernel (O(pages), no data copied), so a pin costs the
+//! same on a 100k-row extent as on a 1k-row one. Readers get snapshot
+//! isolation; the writer pays only the first write to each shared page
+//! after a publish, which copies that one page.
 //!
 //! Panic policy mirrors the repo's poison-absorbing locks: a statement
 //! that panics inside `exec` is caught, the locks are released clean
@@ -133,7 +137,11 @@ impl SharedKernel {
         if view_stale && wanted {
             let fresh = Arc::new(g.read_view());
             let mut guard = self.view.lock().unwrap_or_else(PoisonError::into_inner);
-            *guard = fresh;
+            let old = std::mem::replace(&mut *guard, fresh);
+            drop(guard);
+            // Releasing the old view may free the pages the writer has
+            // since copied; do it outside the lock readers pin through.
+            drop(old);
         }
     }
 

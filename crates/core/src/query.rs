@@ -469,7 +469,11 @@ pub struct QueryOutcome {
 /// pinned-snapshot query entry points.
 pub(crate) fn apply_trace(outcome: &mut QueryOutcome, trace: &gaea_obs::Trace) {
     let m = gaea_obs::metrics();
+    let mut overhead = 0;
     for s in &trace.spans {
+        if s.depth == 1 && (s.name == "pin" || s.name == gaea_obs::FINISH_LAP) {
+            overhead += s.wall_us;
+        }
         let h = match (s.name, s.depth) {
             ("plan", 1) => Some(&m.stage_plan_us),
             ("retrieve", 1) => Some(&m.stage_retrieve_us),
@@ -484,6 +488,7 @@ pub(crate) fn apply_trace(outcome: &mut QueryOutcome, trace: &gaea_obs::Trace) {
             h.record(s.wall_us);
         }
     }
+    m.query_overhead_us.record(overhead);
     outcome.profile = Some(QueryProfile::from_trace(trace));
 }
 

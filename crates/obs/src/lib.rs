@@ -26,5 +26,6 @@ pub use metrics::{
 };
 pub use trace::{
     clear_traces, note, recent_traces, set_ring_capacity, set_slow_threshold_us, slow_threshold_us,
-    span, start_trace, SpanGuard, SpanRecord, Trace, TraceGuard, SLOW_QUERY_ENV, TRACE_RING_ENV,
+    span, start_trace, SpanGuard, SpanRecord, Trace, TraceGuard, FINISH_LAP, SLOW_QUERY_ENV,
+    TRACE_RING_ENV,
 };

@@ -190,6 +190,9 @@ pub struct MetricsRegistry {
     pub stage_bind_us: Histogram,
     pub stage_fire_us: Histogram,
     pub stage_project_us: Histogram,
+    /// Statement prologue + epilogue (the `pin` and `finish` laps), µs:
+    /// the part of `query_us` no pipeline stage accounts for.
+    pub query_overhead_us: Histogram,
 
     // ---- derived-result cache ----
     pub cache_hits: Counter,
@@ -300,6 +303,7 @@ impl MetricsRegistry {
             stage_bind_us: Histogram::new(),
             stage_fire_us: Histogram::new(),
             stage_project_us: Histogram::new(),
+            query_overhead_us: Histogram::new(),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
             cache_evictions: Counter::new(),
@@ -352,6 +356,7 @@ impl MetricsRegistry {
         hist(&mut entries, "stage_bind_us", &self.stage_bind_us);
         hist(&mut entries, "stage_fire_us", &self.stage_fire_us);
         hist(&mut entries, "stage_project_us", &self.stage_project_us);
+        hist(&mut entries, "query_overhead_us", &self.query_overhead_us);
 
         let mut c = |k: &'static str, v: u64| entries.push((k, v));
         c("cache_hits", self.cache_hits.get());
@@ -503,6 +508,13 @@ fn hist_keys(name: &'static str) -> [&'static str; 5] {
             "stage_project_us_p50",
             "stage_project_us_p95",
             "stage_project_us_p99",
+        ],
+        "query_overhead_us" => [
+            "query_overhead_us_count",
+            "query_overhead_us_sum",
+            "query_overhead_us_p50",
+            "query_overhead_us_p95",
+            "query_overhead_us_p99",
         ],
         "wal_batch" => [
             "wal_batch_count",

@@ -7,6 +7,15 @@
 //! through its guard and the thread-local stack stays consistent — the
 //! next statement on the thread starts from a clean slate.
 //!
+//! Top-level (depth-1) spans are *laps*: each starts exactly where the
+//! previous one ended — the first at the trace start — and closing the
+//! trace records the time since the last lap as a final `finish` lap.
+//! The laps therefore tile the statement, and their sum equals the
+//! trace total by construction (up to per-lap µs truncation): time the
+//! thread spends descheduled between two stages is charged to the next
+//! stage instead of vanishing from the profile. Deeper spans time only
+//! themselves.
+//!
 //! Finished traces land in a process-wide ring buffer holding the last
 //! N traces whose total wall time meets the slow-trace threshold
 //! (`GAEA_SLOW_QUERY_US`, default 0 = keep everything; ring capacity
@@ -19,6 +28,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
+
+/// Name of the lap that closes every trace with at least one depth-1
+/// span: the statement epilogue since the last stage ended.
+pub const FINISH_LAP: &str = "finish";
 
 /// A closed span: stage name, nesting depth (1 = direct child of the
 /// trace root), wall time, and any annotations attached while open.
@@ -52,9 +65,32 @@ struct ActiveTrace {
     root: &'static str,
     label: String,
     start: Instant,
+    /// Where the next depth-1 lap starts: the end of the previous one,
+    /// or the trace start.
+    mark: Instant,
     notes: Vec<(&'static str, String)>,
     open: Vec<OpenSpan>,
     closed: Vec<SpanRecord>,
+}
+
+impl ActiveTrace {
+    /// Close every open span at or above stack position `index` at the
+    /// instant `now`; a closing depth-1 span moves the lap mark.
+    fn close_from(&mut self, index: usize, now: Instant) {
+        while self.open.len() > index {
+            let span = self.open.pop().expect("len > index implies nonempty");
+            let depth = (self.open.len() + 1) as u16;
+            if depth == 1 {
+                self.mark = now;
+            }
+            self.closed.push(SpanRecord {
+                name: span.name,
+                depth,
+                wall_us: now.duration_since(span.start).as_micros() as u64,
+                notes: span.notes,
+            });
+        }
+    }
 }
 
 thread_local! {
@@ -70,10 +106,12 @@ pub fn start_trace(root: &'static str, label: impl Into<String>) -> TraceGuard {
         if slot.is_some() {
             true
         } else {
+            let start = Instant::now();
             *slot = Some(ActiveTrace {
                 root,
                 label: label.into(),
-                start: Instant::now(),
+                start,
+                mark: start,
                 notes: Vec::new(),
                 open: Vec::new(),
                 closed: Vec::new(),
@@ -132,27 +170,29 @@ impl Drop for TraceGuard {
 }
 
 /// Finalize the thread's active trace: close any spans the unwind left
-/// open, stamp the total, feed the query metrics, and retain the trace
-/// in the ring when it meets the slow threshold.
+/// open, record the [`FINISH_LAP`], stamp the total, feed the query
+/// metrics, and retain the trace in the ring when it meets the slow
+/// threshold.
 fn close_active() -> Option<Trace> {
     let trace = ACTIVE.with(|a| {
         let mut slot = a.borrow_mut();
         let mut t = slot.take()?;
+        let end = Instant::now();
         // Spans still open (a panic skipped their guards' pops in rare
         // leak cases) are closed here at their recorded depth.
-        while let Some(span) = t.open.pop() {
-            let depth = (t.open.len() + 1) as u16;
+        t.close_from(0, end);
+        if t.closed.iter().any(|s| s.depth == 1) {
             t.closed.push(SpanRecord {
-                name: span.name,
-                depth,
-                wall_us: span.start.elapsed().as_micros() as u64,
-                notes: span.notes,
+                name: FINISH_LAP,
+                depth: 1,
+                wall_us: end.duration_since(t.mark).as_micros() as u64,
+                notes: Vec::new(),
             });
         }
         Some(Trace {
             root: t.root,
             label: t.label,
-            total_us: t.start.elapsed().as_micros() as u64,
+            total_us: end.duration_since(t.start).as_micros() as u64,
             notes: t.notes,
             spans: t.closed,
         })
@@ -171,16 +211,22 @@ fn close_active() -> Option<Trace> {
     Some(trace)
 }
 
-/// Open a stage span on the current trace. A no-op guard is returned
-/// when no trace is active on this thread, so lower layers can span
-/// unconditionally.
+/// Open a stage span on the current trace. A depth-1 span is a lap: it
+/// starts where the previous lap ended (see the module docs). A no-op
+/// guard is returned when no trace is active on this thread, so lower
+/// layers can span unconditionally.
 pub fn span(name: &'static str) -> SpanGuard {
     let index = ACTIVE.with(|a| {
         let mut slot = a.borrow_mut();
         slot.as_mut().map(|t| {
+            let start = if t.open.is_empty() {
+                t.mark
+            } else {
+                Instant::now()
+            };
             t.open.push(OpenSpan {
                 name,
-                start: Instant::now(),
+                start,
                 notes: Vec::new(),
             });
             t.open.len() - 1
@@ -205,16 +251,7 @@ impl Drop for SpanGuard {
             // Pop everything at or above our index: guards drop LIFO on
             // both the normal and the unwind path, but truncating makes
             // a leaked inner guard harmless rather than corrupting.
-            while t.open.len() > index {
-                let span = t.open.pop().expect("len > index implies nonempty");
-                let depth = (t.open.len() + 1) as u16;
-                t.closed.push(SpanRecord {
-                    name: span.name,
-                    depth,
-                    wall_us: span.start.elapsed().as_micros() as u64,
-                    notes: span.notes,
-                });
-            }
+            t.close_from(index, Instant::now());
         });
     }
 }
@@ -344,7 +381,10 @@ mod tests {
         }
         let trace = t.finish().expect("outermost trace returns data");
         let names: Vec<_> = trace.spans.iter().map(|s| (s.name, s.depth)).collect();
-        assert_eq!(names, vec![("plan", 1), ("scan", 2), ("retrieve", 1)]);
+        assert_eq!(
+            names,
+            vec![("plan", 1), ("scan", 2), ("retrieve", 1), (FINISH_LAP, 1)]
+        );
         let retrieve = trace.spans.iter().find(|s| s.name == "retrieve").unwrap();
         assert_eq!(retrieve.notes, vec![("path", "index(v)".to_string())]);
         assert_eq!(trace.root, "query");
@@ -368,8 +408,8 @@ mod tests {
             let _s = span("plan");
         }
         let trace = t.finish().unwrap();
-        assert_eq!(trace.spans.len(), 1);
-        assert_eq!(trace.spans[0].name, "plan");
+        let names: Vec<_> = trace.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["plan", FINISH_LAP]);
     }
 
     #[test]
@@ -380,9 +420,47 @@ mod tests {
         assert!(inner.finish().is_none());
         let trace = outer.finish().unwrap();
         // The inner "trace" shows up as a depth-1 span of the outer one.
-        assert_eq!(trace.spans.len(), 1);
+        assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.spans[0].name, "query");
         assert_eq!(trace.spans[0].depth, 1);
+        assert_eq!(trace.spans[1].name, FINISH_LAP);
+    }
+
+    #[test]
+    fn laps_tile_the_trace_even_across_gaps() {
+        let _serial = ring_lock();
+        let pause = std::time::Duration::from_millis(3);
+        let t = start_trace("query", "laps");
+        // Time outside any span — before the first lap, between laps and
+        // after the last — is charged to the next lap or to `finish`.
+        std::thread::sleep(pause);
+        {
+            let _plan = span("plan");
+            let _inner = span("scan");
+        }
+        std::thread::sleep(pause);
+        {
+            let _project = span("project");
+        }
+        std::thread::sleep(pause);
+        let trace = t.finish().unwrap();
+        let laps: Vec<_> = trace.spans.iter().filter(|s| s.depth == 1).collect();
+        let names: Vec<_> = laps.iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["plan", "project", FINISH_LAP]);
+        for lap in &laps {
+            assert!(lap.wall_us >= 3_000, "{lap:?} absorbed no pause");
+        }
+        let sum: u64 = laps.iter().map(|s| s.wall_us).sum();
+        // Each lap truncates to whole µs, so the sum may trail by < 1µs
+        // per lap — and can never exceed the total.
+        assert!(sum <= trace.total_us && trace.total_us - sum < laps.len() as u64);
+    }
+
+    #[test]
+    fn a_trace_without_laps_gets_no_finish_lap() {
+        let _serial = ring_lock();
+        let t = start_trace("query", "empty");
+        assert!(t.finish().unwrap().spans.is_empty());
     }
 
     /// The ring and thresholds are process-global; tests touching them

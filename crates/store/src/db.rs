@@ -13,9 +13,16 @@ use crate::txn::Txn;
 use crate::version::{StoreSnapshot, VersionMap};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// One version-tick journal entry: the relation and the OIDs one clock
+/// advance stamped.
+pub type VersionTick = (String, Vec<u64>);
 
 /// One typed relation: schema + heap + eagerly maintained indexes,
-/// spatial grids, and optimizer statistics.
+/// spatial grids, and optimizer statistics. Every part that grows with
+/// the data is a paged copy-on-write container, so cloning a relation
+/// costs O(pages) and shares all tuples.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
@@ -125,13 +132,11 @@ impl Relation {
     /// lookups.
     pub fn scan(&self, pred: &Predicate) -> StoreResult<Vec<(Oid, &Tuple)>> {
         let compiled = pred.compile(&self.schema)?;
-        let mut out = Vec::new();
-        for (oid, tuple) in self.heap.iter() {
-            if compiled.matches(tuple) {
-                out.push((oid, tuple));
-            }
-        }
-        Ok(out)
+        Ok(self
+            .heap
+            .iter()
+            .filter(|(_, tuple)| compiled.matches(tuple))
+            .collect())
     }
 
     /// OID-only predicate scan in storage order — no tuple clones, for
@@ -139,24 +144,22 @@ impl Relation {
     pub fn scan_oids(&self, pred: &Predicate) -> StoreResult<Vec<Oid>> {
         let compiled = pred.compile(&self.schema)?;
         let mut out = Vec::new();
-        for (oid, tuple) in self.heap.iter() {
+        self.heap.iter().for_each(|(oid, tuple)| {
             if compiled.matches(tuple) {
                 out.push(oid);
             }
-        }
+        });
         Ok(out)
     }
 
     /// Count matching tuples without materializing anything.
     pub fn count(&self, pred: &Predicate) -> StoreResult<u64> {
         let compiled = pred.compile(&self.schema)?;
-        let mut n = 0u64;
-        for (_, tuple) in self.heap.iter() {
-            if compiled.matches(tuple) {
-                n += 1;
-            }
-        }
-        Ok(n)
+        Ok(self
+            .heap
+            .iter()
+            .filter(|(_, tuple)| compiled.matches(tuple))
+            .count() as u64)
     }
 
     /// Full iteration.
@@ -275,7 +278,7 @@ impl Relation {
             .iter()
             .find(|i| i.column == pos)
             .ok_or_else(|| StoreError::IndexError(format!("no index on {column}")))?;
-        Ok(idx.lookup(key).to_vec())
+        Ok(idx.lookup(key))
     }
 
     /// Inclusive range lookup through an index.
@@ -324,11 +327,21 @@ impl Relation {
 
 /// The embedded database: named relations + a shared OID allocator +
 /// MVCC version counters ([`VersionMap`]) stamped on every mutation.
+///
+/// Relations sit behind `Arc` and their contents in paged copy-on-write
+/// containers, so [`Database::freeze`] is O(relations + pages) and a
+/// write after a freeze copies only the pages it touches.
 #[derive(Debug)]
 pub struct Database {
-    relations: BTreeMap<String, Relation>,
+    relations: BTreeMap<String, Arc<Relation>>,
     allocator: OidAllocator,
     versions: VersionMap,
+    /// When enabled (durable databases only), every version tick is also
+    /// recorded here so a write-ahead log can replay the exact clock
+    /// history — including ticks from rolled-back or failed operations
+    /// that no logged event otherwise accounts for. Never frozen or
+    /// persisted.
+    journal: Option<Vec<VersionTick>>,
 }
 
 impl Database {
@@ -338,6 +351,7 @@ impl Database {
             relations: BTreeMap::new(),
             allocator: OidAllocator::new(),
             versions: VersionMap::default(),
+            journal: None,
         }
     }
 
@@ -346,8 +360,18 @@ impl Database {
         if self.relations.contains_key(name) {
             return Err(StoreError::DuplicateRelation(name.into()));
         }
-        self.relations.insert(name.into(), Relation::new(schema));
+        self.relations
+            .insert(name.into(), Arc::new(Relation::new(schema)));
         Ok(())
+    }
+
+    /// Advance the version clock once, stamping `oids` and `rel`, and
+    /// journal the tick when journaling is on.
+    fn tick(&mut self, rel: &str, oids: &[u64]) {
+        self.versions.bump_all(rel, oids);
+        if let Some(journal) = self.journal.as_mut() {
+            journal.push((rel.to_string(), oids.to_vec()));
+        }
     }
 
     /// Drop a relation and all its tuples. Every live object in it gets a
@@ -358,7 +382,8 @@ impl Database {
             .relations
             .remove(name)
             .ok_or_else(|| StoreError::NoSuchRelation(name.into()))?;
-        self.versions.bump_all(name, rel.iter().map(|(oid, _)| oid));
+        let oids: Vec<u64> = rel.iter().map(|(oid, _)| oid.0).collect();
+        self.tick(name, &oids);
         Ok(())
     }
 
@@ -366,13 +391,17 @@ impl Database {
     pub fn relation(&self, name: &str) -> StoreResult<&Relation> {
         self.relations
             .get(name)
+            .map(|rel| &**rel)
             .ok_or_else(|| StoreError::NoSuchRelation(name.into()))
     }
 
-    /// Mutably borrow a relation.
+    /// Mutably borrow a relation. If a freeze still shares it, this
+    /// copies its page tables (O(pages)); its pages are copied lazily,
+    /// one per write.
     pub fn relation_mut(&mut self, name: &str) -> StoreResult<&mut Relation> {
         self.relations
             .get_mut(name)
+            .map(Arc::make_mut)
             .ok_or_else(|| StoreError::NoSuchRelation(name.into()))
     }
 
@@ -391,7 +420,7 @@ impl Database {
     pub fn insert(&mut self, rel: &str, tuple: Tuple) -> StoreResult<Oid> {
         let oid = self.allocator.allocate();
         self.relation_mut(rel)?.insert(oid, tuple)?;
-        self.versions.bump(rel, oid);
+        self.tick(rel, &[oid.0]);
         Ok(oid)
     }
 
@@ -399,7 +428,7 @@ impl Database {
     /// objects and their task records the same identifier space).
     pub fn insert_with_oid(&mut self, rel: &str, oid: Oid, tuple: Tuple) -> StoreResult<()> {
         self.relation_mut(rel)?.insert(oid, tuple)?;
-        self.versions.bump(rel, oid);
+        self.tick(rel, &[oid.0]);
         Ok(())
     }
 
@@ -408,14 +437,14 @@ impl Database {
     /// sees the mismatch (and OID recycling can never alias versions).
     pub fn delete(&mut self, rel: &str, oid: Oid) -> StoreResult<Tuple> {
         let tuple = self.relation_mut(rel)?.delete(oid)?;
-        self.versions.bump(rel, oid);
+        self.tick(rel, &[oid.0]);
         Ok(tuple)
     }
 
     /// Autocommit update, bumping the object's and relation's version.
     pub fn update(&mut self, rel: &str, oid: Oid, tuple: Tuple) -> StoreResult<Tuple> {
         let old = self.relation_mut(rel)?.update(oid, tuple)?;
-        self.versions.bump(rel, oid);
+        self.tick(rel, &[oid.0]);
         Ok(old)
     }
 
@@ -490,26 +519,31 @@ impl Database {
         }
     }
 
-    /// Start recording every version tick (see
-    /// [`VersionMap`]-level journaling). Durable databases only.
+    /// Start recording every version tick (idempotent). Durable
+    /// databases only; everyone else pays no recording cost.
     pub fn enable_version_journal(&mut self) {
-        self.versions.enable_journal();
+        self.journal.get_or_insert_with(Vec::new);
     }
 
-    /// Drain version ticks recorded since the last take.
-    pub fn take_version_journal(&mut self) -> Vec<(String, Vec<u64>)> {
-        self.versions.take_journal()
+    /// Drain version ticks recorded since the last take (empty when
+    /// journaling is off).
+    pub fn take_version_journal(&mut self) -> Vec<VersionTick> {
+        self.journal
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// True when un-drained version ticks are pending.
     pub fn version_journal_pending(&self) -> bool {
-        self.versions.journal_pending()
+        self.journal.as_ref().is_some_and(|j| !j.is_empty())
     }
 
-    /// Replay a journaled version tick without bumping or re-journaling.
-    pub fn replay_bumps(&mut self, bumps: &[(String, Vec<u64>)]) {
+    /// Replay journaled version ticks exactly as they were applied — one
+    /// clock advance each — without re-journaling them.
+    pub fn replay_bumps(&mut self, bumps: &[VersionTick]) {
         for (rel, oids) in bumps {
-            self.versions.apply_recorded(rel, oids);
+            self.versions.bump_all(rel, oids);
         }
     }
 
@@ -534,7 +568,7 @@ impl Database {
 
     /// Restore from snapshot parts.
     pub(crate) fn from_parts(
-        relations: BTreeMap<String, Relation>,
+        relations: BTreeMap<String, Arc<Relation>>,
         next_oid: u64,
         versions: VersionMap,
     ) -> Database {
@@ -542,30 +576,33 @@ impl Database {
             relations,
             allocator: OidAllocator::resume_after(next_oid.saturating_sub(1)),
             versions,
+            journal: None,
         };
         for rel in db.relations.values_mut() {
-            rel.rebuild();
+            Arc::make_mut(rel).rebuild();
         }
         db
     }
 
-    /// Pin a snapshot-isolated read view: an immutable deep copy of every
-    /// relation plus the version counters frozen at the same instant
-    /// ([`crate::view::PinnedStore`]). Taken through `&self` under the
-    /// owner's borrow discipline, so the copy is of one committed state,
-    /// never a half-applied mutation. The copy's journal is off — a view
-    /// replays nothing into any WAL.
-    pub fn pin(&self) -> crate::view::PinnedStore {
-        let db = Database {
+    /// Freeze the current state into an immutable
+    /// [`crate::view::PinnedStore`]: every relation and the version
+    /// counters as of this instant. Taken through `&self` under the
+    /// owner's borrow discipline, so it is one committed state, never a
+    /// half-applied mutation. Structural sharing makes this
+    /// O(relations + pages): no tuple, index entry or counter is copied,
+    /// and the live database copies a page only when it next writes to
+    /// it. The frozen copy journals nothing — it replays into no WAL.
+    pub fn freeze(&self) -> crate::view::PinnedStore {
+        crate::view::PinnedStore::new(Database {
             relations: self.relations.clone(),
             allocator: OidAllocator::resume_after(self.allocator.peek().saturating_sub(1)),
-            versions: self.versions.clone_counters(),
-        };
-        crate::view::PinnedStore::new(db, self.store_snapshot())
+            versions: self.versions.clone(),
+            journal: None,
+        })
     }
 
     /// Snapshot parts (relation map).
-    pub(crate) fn relations(&self) -> &BTreeMap<String, Relation> {
+    pub(crate) fn relations(&self) -> &BTreeMap<String, Arc<Relation>> {
         &self.relations
     }
 
@@ -768,6 +805,57 @@ mod tests {
         db.drop_relation("landcover").unwrap();
         assert!(db.object_version(a) > before.0);
         assert!(db.object_version(b) > before.1);
+    }
+
+    #[test]
+    fn journal_records_every_tick_for_exact_replay() {
+        let mut live = db_with_rel();
+        live.enable_version_journal();
+        let a = live.insert("landcover", t("africa", 1)).unwrap();
+        let b = live.insert("landcover", t("asia", 2)).unwrap();
+        live.update("landcover", a, t("africa", 3)).unwrap();
+        live.drop_relation("landcover").unwrap();
+        assert!(live.version_journal_pending());
+        let ticks = live.take_version_journal();
+        assert!(!live.version_journal_pending());
+        assert_eq!(ticks.len(), 4);
+        // The drop is one tick stamping every live object.
+        assert_eq!(ticks[3].1.len(), 2);
+
+        let mut replayed = Database::new();
+        replayed.replay_bumps(&ticks);
+        assert_eq!(replayed.version_clock(), live.version_clock());
+        for oid in [a, b] {
+            assert_eq!(replayed.object_version(oid), live.object_version(oid));
+        }
+        assert_eq!(
+            replayed.relation_version("landcover"),
+            live.relation_version("landcover")
+        );
+    }
+
+    #[test]
+    fn freeze_shares_pages_until_the_live_side_writes() {
+        let mut db = db_with_rel();
+        let oids: Vec<Oid> = (0..1000)
+            .map(|i| db.insert("landcover", t("africa", i)).unwrap())
+            .collect();
+        db.enable_version_journal();
+        let frozen = db.freeze();
+        assert!(Arc::ptr_eq(
+            &db.relations["landcover"],
+            &frozen.relations["landcover"]
+        ));
+        db.update("landcover", oids[7], t("asia", -1)).unwrap();
+        db.delete("landcover", oids[900]).unwrap();
+        // The writer diverged; the frozen state is untouched and its
+        // journal is off.
+        assert_eq!(frozen.get("landcover", oids[7]).unwrap(), &t("africa", 7));
+        assert!(frozen.get("landcover", oids[900]).is_ok());
+        assert_eq!(frozen.relation("landcover").unwrap().len(), 1000);
+        assert!(frozen.object_version(oids[7]) < db.object_version(oids[7]));
+        assert!(!frozen.version_journal_pending());
+        assert!(db.version_journal_pending());
     }
 
     #[test]

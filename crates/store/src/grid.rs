@@ -13,10 +13,11 @@
 //! (JSON keys must be strings) and rebuilt from the heap on snapshot
 //! load; only the indexed column and cell size persist.
 
+use crate::index::Postings;
 use crate::oid::Oid;
+use crate::paged::PagedMap;
 use gaea_adt::GeoBox;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Boxes overlapping more than this many cells go on the oversize list.
 pub const OVERSIZE_CELLS: usize = 64;
@@ -29,9 +30,11 @@ pub struct GridIndex {
     /// Cell edge length in the coordinate units of the indexed extents.
     pub cell: f64,
     #[serde(skip)]
-    cells: BTreeMap<(i64, i64), Vec<Oid>>,
+    cells: PagedMap<(i64, i64), Postings>,
+    /// Oversize extents as an ordered set, so removal is a point
+    /// operation.
     #[serde(skip)]
-    oversize: Vec<Oid>,
+    oversize: Postings,
 }
 
 impl GridIndex {
@@ -45,8 +48,8 @@ impl GridIndex {
             } else {
                 1.0
             },
-            cells: BTreeMap::new(),
-            oversize: Vec::new(),
+            cells: PagedMap::new(),
+            oversize: Postings::new(),
         }
     }
 
@@ -72,12 +75,14 @@ impl GridIndex {
     pub fn insert(&mut self, b: &GeoBox, oid: Oid) {
         let (lo, hi) = self.cell_span(b);
         if Self::span_cells(lo, hi) > OVERSIZE_CELLS {
-            self.oversize.push(oid);
+            self.oversize.insert(oid, ());
             return;
         }
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
-                self.cells.entry((cx, cy)).or_default().push(oid);
+                self.cells
+                    .get_or_insert_with((cx, cy), Postings::new)
+                    .insert(oid, ());
             }
         }
     }
@@ -86,13 +91,13 @@ impl GridIndex {
     pub fn remove(&mut self, b: &GeoBox, oid: Oid) {
         let (lo, hi) = self.cell_span(b);
         if Self::span_cells(lo, hi) > OVERSIZE_CELLS {
-            self.oversize.retain(|o| *o != oid);
+            self.oversize.remove(&oid);
             return;
         }
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
                 if let Some(oids) = self.cells.get_mut(&(cx, cy)) {
-                    oids.retain(|o| *o != oid);
+                    oids.remove(&oid);
                     if oids.is_empty() {
                         self.cells.remove(&(cx, cy));
                     }
@@ -110,21 +115,21 @@ impl GridIndex {
         let mut out: Vec<Oid> = Vec::new();
         if Self::span_cells(lo, hi) > self.cells.len().max(1) {
             // Window covers more cells than are occupied: walk the map.
-            for (&(cx, cy), oids) in &self.cells {
+            for (&(cx, cy), oids) in self.cells.iter() {
                 if cx >= lo.0 && cx <= hi.0 && cy >= lo.1 && cy <= hi.1 {
-                    out.extend_from_slice(oids);
+                    out.extend(oids.keys().copied());
                 }
             }
         } else {
             for cx in lo.0..=hi.0 {
                 for cy in lo.1..=hi.1 {
                     if let Some(oids) = self.cells.get(&(cx, cy)) {
-                        out.extend_from_slice(oids);
+                        out.extend(oids.keys().copied());
                     }
                 }
             }
         }
-        out.extend_from_slice(&self.oversize);
+        out.extend(self.oversize.keys().copied());
         out.sort_unstable();
         out.dedup();
         out
@@ -136,7 +141,7 @@ impl GridIndex {
         let (lo, hi) = self.cell_span(window);
         let mut n = self.oversize.len();
         if Self::span_cells(lo, hi) > self.cells.len().max(1) {
-            for (&(cx, cy), oids) in &self.cells {
+            for (&(cx, cy), oids) in self.cells.iter() {
                 if cx >= lo.0 && cx <= hi.0 && cy >= lo.1 && cy <= hi.1 {
                     n += oids.len();
                 }
@@ -144,7 +149,7 @@ impl GridIndex {
         } else {
             for cx in lo.0..=hi.0 {
                 for cy in lo.1..=hi.1 {
-                    n += self.cells.get(&(cx, cy)).map_or(0, Vec::len);
+                    n += self.cells.get(&(cx, cy)).map_or(0, Postings::len);
                 }
             }
         }

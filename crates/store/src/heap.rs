@@ -1,22 +1,25 @@
 //! Slotted heap storage with free-slot reuse.
 //!
 //! A heap stores `(Oid, Tuple)` pairs in slots; deletion leaves a free slot
-//! that later inserts reuse. An OID→slot map gives O(1) point lookups, and
-//! scans walk the slot array in storage order.
+//! that later inserts reuse. An OID→slot map gives O(log n) point lookups,
+//! and scans walk the slot array in storage order. Slots, free list and
+//! OID map are copy-on-write [`crate::paged`] containers, so cloning a
+//! heap shares every page and a later write copies only the pages it
+//! touches.
 
 use crate::error::{StoreError, StoreResult};
 use crate::oid::Oid;
+use crate::paged::{PagedMap, PagedVec};
 use crate::tuple::Tuple;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Slotted tuple storage.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Heap {
-    slots: Vec<Option<(Oid, Tuple)>>,
-    free: Vec<usize>,
+    slots: PagedVec<Option<(Oid, Tuple)>>,
+    free: PagedVec<usize>,
     #[serde(skip)]
-    by_oid: HashMap<u64, usize>,
+    by_oid: PagedMap<u64, usize>,
     /// Kept in sync eagerly; rebuilt after deserialization.
     len: usize,
 }
@@ -29,14 +32,13 @@ impl Heap {
 
     /// Rebuild the OID map (after snapshot load).
     pub fn rebuild_index(&mut self) {
-        self.by_oid.clear();
-        self.len = 0;
-        for (slot, entry) in self.slots.iter().enumerate() {
-            if let Some((oid, _)) = entry {
-                self.by_oid.insert(oid.0, slot);
-                self.len += 1;
-            }
-        }
+        self.by_oid = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, entry)| entry.as_ref().map(|(oid, _)| (oid.0, slot)))
+            .collect();
+        self.len = self.by_oid.len();
     }
 
     /// Live tuple count.
@@ -58,7 +60,7 @@ impl Heap {
         }
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s] = Some((oid, tuple));
+                *self.slots.get_mut(s).expect("free slot in range") = Some((oid, tuple));
                 s
             }
             None => {
@@ -77,7 +79,12 @@ impl Heap {
             .by_oid
             .get(&oid.0)
             .ok_or(StoreError::NoSuchTuple(oid.0))?;
-        Ok(&self.slots[*slot].as_ref().expect("live slot").1)
+        Ok(&self
+            .slots
+            .get(*slot)
+            .and_then(Option::as_ref)
+            .expect("live slot")
+            .1)
     }
 
     /// True if present.
@@ -91,7 +98,11 @@ impl Heap {
             .by_oid
             .remove(&oid.0)
             .ok_or(StoreError::NoSuchTuple(oid.0))?;
-        let (_, tuple) = self.slots[slot].take().expect("live slot");
+        let (_, tuple) = self
+            .slots
+            .get_mut(slot)
+            .and_then(Option::take)
+            .expect("live slot");
         self.free.push(slot);
         self.len -= 1;
         Ok(tuple)
@@ -99,11 +110,15 @@ impl Heap {
 
     /// Replace, returning the old tuple.
     pub fn update(&mut self, oid: Oid, tuple: Tuple) -> StoreResult<Tuple> {
-        let slot = self
+        let slot = *self
             .by_oid
             .get(&oid.0)
             .ok_or(StoreError::NoSuchTuple(oid.0))?;
-        let entry = self.slots[*slot].as_mut().expect("live slot");
+        let entry = self
+            .slots
+            .get_mut(slot)
+            .and_then(Option::as_mut)
+            .expect("live slot");
         Ok(std::mem::replace(&mut entry.1, tuple))
     }
 

@@ -6,12 +6,18 @@
 //! [`crate::db::Relation`] on insert/update/delete.
 
 use crate::oid::Oid;
+use crate::paged::PagedMap;
 use gaea_adt::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// Ordered index: column value → OIDs of tuples carrying it.
+/// The OIDs filed under one index key (or grid cell), as an ordered set.
+/// Paged like the map that holds it, so a write never copies a whole
+/// posting list — a low-cardinality key can hold most of a relation.
+pub(crate) type Postings = PagedMap<Oid, ()>;
+
+/// Ordered index: column value → OIDs of tuples carrying it, in OID
+/// order within a key.
 ///
 /// The map itself is not serialized (JSON requires string keys); snapshots
 /// persist only the indexed column and rebuild the map from the heap on
@@ -21,7 +27,7 @@ pub struct OrderedIndex {
     /// Indexed column position in the relation schema.
     pub column: usize,
     #[serde(skip)]
-    map: BTreeMap<Value, Vec<Oid>>,
+    map: PagedMap<Value, Postings>,
 }
 
 impl OrderedIndex {
@@ -29,19 +35,21 @@ impl OrderedIndex {
     pub fn new(column: usize) -> OrderedIndex {
         OrderedIndex {
             column,
-            map: BTreeMap::new(),
+            map: PagedMap::new(),
         }
     }
 
     /// Register a tuple's column value.
     pub fn insert(&mut self, key: Value, oid: Oid) {
-        self.map.entry(key).or_default().push(oid);
+        self.map
+            .get_or_insert_with(key, Postings::new)
+            .insert(oid, ());
     }
 
     /// Unregister.
     pub fn remove(&mut self, key: &Value, oid: Oid) {
         if let Some(oids) = self.map.get_mut(key) {
-            oids.retain(|o| *o != oid);
+            oids.remove(&oid);
             if oids.is_empty() {
                 self.map.remove(key);
             }
@@ -49,8 +57,11 @@ impl OrderedIndex {
     }
 
     /// Exact-match lookup.
-    pub fn lookup(&self, key: &Value) -> &[Oid] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+    pub fn lookup(&self, key: &Value) -> Vec<Oid> {
+        self.map
+            .get(key)
+            .map(|oids| oids.keys().copied().collect())
+            .unwrap_or_default()
     }
 
     /// Range lookup over the value order (inclusive bounds).
@@ -59,7 +70,7 @@ impl OrderedIndex {
         let upper = hi.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
         self.map
             .range((lower, upper))
-            .flat_map(|(_, oids)| oids.iter().copied())
+            .flat_map(|(_, oids)| oids.keys().copied())
             .collect()
     }
 
@@ -79,17 +90,18 @@ impl OrderedIndex {
     }
 
     /// All OIDs in key order (ascending or descending). Within one key,
-    /// OIDs come out in insertion order either way — ties are resolved by
-    /// the caller, so reversing the key walk must not reverse ties.
+    /// OIDs come out in ascending OID order either way — ties are
+    /// resolved by the caller, so reversing the key walk must not reverse
+    /// ties.
     pub fn sorted_oids(&self, desc: bool) -> Vec<Oid> {
         let mut out = Vec::with_capacity(self.len());
         if desc {
             for oids in self.map.values().rev() {
-                out.extend_from_slice(oids);
+                out.extend(oids.keys().copied());
             }
         } else {
             for oids in self.map.values() {
-                out.extend_from_slice(oids);
+                out.extend(oids.keys().copied());
             }
         }
         out
@@ -97,7 +109,7 @@ impl OrderedIndex {
 
     /// Total registered entries.
     pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.map.values().map(Postings::len).sum()
     }
 
     /// True if empty.
@@ -172,7 +184,7 @@ mod tests {
         assert_eq!(idx.min_key(), Some(&Value::Int4(1)));
         assert_eq!(idx.max_key(), Some(&Value::Int4(9)));
         assert_eq!(idx.sorted_oids(false), vec![Oid(3), Oid(2), Oid(4), Oid(1)]);
-        // Descending reverses keys but keeps within-key insertion order.
+        // Descending reverses keys but keeps within-key OID order.
         assert_eq!(idx.sorted_oids(true), vec![Oid(1), Oid(2), Oid(4), Oid(3)]);
     }
 }

@@ -18,11 +18,14 @@
 //!   ride along through serde),
 //! * an append-only, checksummed [`wal`] (length-prefixed records, group
 //!   commit with fsync batching, torn-tail-tolerant scan) — the durable
-//!   substrate under the kernel's event log, and
+//!   substrate under the kernel's event log,
 //! * MVCC [`version`] counters: every mutation stamps the touched object
 //!   and relation with a fresh logical-clock value, so consumers can
 //!   validate memoized derived results in O(1) per input instead of
-//!   walking history ([`version::StoreSnapshot`]).
+//!   walking history ([`version::StoreSnapshot`]), and
+//! * copy-on-write [`paged`] containers under every structure that grows
+//!   with the data, so [`db::Database::freeze`] captures a read view (or
+//!   a snapshot to serialize) in O(pages) instead of copying the data.
 //!
 //! See DESIGN.md §1 for why this substitution preserves the paper's
 //! behaviour: the kernel only ever touches the store through these
@@ -35,6 +38,7 @@ pub mod grid;
 pub mod heap;
 pub mod index;
 pub mod oid;
+pub mod paged;
 pub mod predicate;
 pub mod schema;
 pub mod snapshot;

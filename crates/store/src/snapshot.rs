@@ -3,7 +3,9 @@
 //! Persistence format: a single `manifest.json` holding relation schemas,
 //! heaps (tuples inline, including image payloads through serde) and index
 //! declarations, plus the OID high-water mark. Indexes and heap OID maps
-//! are rebuilt on load rather than persisted (see `index.rs`).
+//! are rebuilt on load rather than persisted (see `index.rs`). The paged
+//! containers serialize exactly like the `Vec`s and `BTreeMap`s they
+//! replaced, so the format predates them and is unchanged by them.
 //!
 //! The paper's `image` external representation stores payloads behind file
 //! paths; this snapshot keeps payloads inline for atomicity. The
@@ -13,20 +15,22 @@
 use crate::db::{Database, Relation};
 use crate::error::{StoreError, StoreResult};
 use crate::version::VersionMap;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs;
+use std::fs::{self, File};
+use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
-/// Serialized snapshot body.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Serialized snapshot body, as loaded.
+#[derive(Debug, Deserialize)]
 struct Manifest {
     /// Format version for forward compatibility.
     version: u32,
     /// Next OID to allocate.
     next_oid: u64,
     /// All relations.
-    relations: BTreeMap<String, Relation>,
+    relations: BTreeMap<String, Arc<Relation>>,
     /// MVCC version counters (format v2; a v1 manifest loads with fresh
     /// counters — conservative, since nothing recorded against them yet).
     #[serde(default)]
@@ -41,60 +45,68 @@ struct Manifest {
     wal_seq: u64,
 }
 
+/// The [`Manifest`] shape, borrowed from a database instead of owned:
+/// serializing straight from a (frozen) store copies nothing first.
+struct ManifestRef<'a> {
+    db: &'a Database,
+    wal_seq: u64,
+}
+
+impl Serialize for ManifestRef<'_> {
+    fn to_content(&self) -> Content {
+        let field = |name: &str, value: Content| (Content::Str(name.to_string()), value);
+        Content::Map(vec![
+            field("version", SNAPSHOT_VERSION.to_content()),
+            field("next_oid", self.db.allocator_peek().to_content()),
+            field("relations", self.db.relations().to_content()),
+            field("versions", self.db.versions().to_content()),
+            field("wal_seq", self.wal_seq.to_content()),
+        ])
+    }
+}
+
 /// Current format: 4 (v3 + the WAL truncation watermark). v1–v3
 /// manifests still load: missing counters start fresh, missing
 /// stats/grids default empty and are recomputed by the post-load
 /// rebuild, and a missing watermark is 0 (replay everything).
 const SNAPSHOT_VERSION: u32 = 4;
 
-/// Database state cloned out for a deferred snapshot write.
+/// Write `bytes` to `path` and fsync the file before returning.
+pub fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()
+}
+
+/// Fsync a directory, making the entries just created or renamed in it
+/// durable.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Write the database to `dir/manifest.json` (creates `dir` if needed),
+/// stamped with the WAL sequence number of the last event already folded
+/// into it. The manifest is written to a temporary name, fsynced,
+/// renamed into place, and the directory fsynced, so a crash leaves
+/// either no manifest or a complete one.
 ///
-/// Background log compaction splits a snapshot in two: the committing
-/// thread pays only this clone (heap payloads are `Arc`-shared, so the
-/// deep cost is tuple vectors and index maps, not raster bytes), and a
-/// worker thread pays the serialization and file I/O via
-/// [`write_capture`] while commits keep appending to the log.
-#[derive(Debug, Clone)]
-pub struct Capture {
-    manifest: Manifest,
-}
-
-/// Clone the database state a snapshot at `wal_seq` would persist.
-pub fn capture_with_wal_seq(db: &Database, wal_seq: u64) -> Capture {
-    Capture {
-        manifest: Manifest {
-            version: SNAPSHOT_VERSION,
-            next_oid: db.allocator_peek(),
-            relations: db.relations().clone(),
-            versions: db.versions().clone(),
-            wal_seq,
-        },
-    }
-}
-
-/// Serialize a [`Capture`] to `dir/manifest.json` (creates `dir` if
-/// needed). Callable from any thread.
-pub fn write_capture(capture: &Capture, dir: &Path) -> StoreResult<()> {
+/// Pass a frozen store ([`Database::freeze`]) to serialize off the
+/// committing thread: the freeze shares every page with the live
+/// database, so handing it to another thread copies nothing.
+pub fn save_with_wal_seq(db: &Database, dir: &Path, wal_seq: u64) -> StoreResult<()> {
     fs::create_dir_all(dir)?;
-    let json =
-        serde_json::to_string(&capture.manifest).map_err(|e| StoreError::Codec(e.to_string()))?;
-    // Write-then-rename for atomicity against torn writes.
+    let json = serde_json::to_string(&ManifestRef { db, wal_seq })
+        .map_err(|e| StoreError::Codec(e.to_string()))?;
     let tmp = dir.join("manifest.json.tmp");
-    let fin = dir.join("manifest.json");
-    fs::write(&tmp, json)?;
-    fs::rename(&tmp, &fin)?;
+    write_synced(&tmp, json.as_bytes())?;
+    fs::rename(&tmp, dir.join("manifest.json"))?;
+    sync_dir(dir)?;
     Ok(())
 }
 
 /// Write the database to `dir/manifest.json` (creates `dir` if needed).
 pub fn save(db: &Database, dir: &Path) -> StoreResult<()> {
     save_with_wal_seq(db, dir, 0)
-}
-
-/// Like [`save`], stamping the manifest with the WAL sequence number of
-/// the last event already folded into this snapshot.
-pub fn save_with_wal_seq(db: &Database, dir: &Path, wal_seq: u64) -> StoreResult<()> {
-    write_capture(&capture_with_wal_seq(db, wal_seq), dir)
 }
 
 /// Load a database from `dir/manifest.json`.

@@ -1,20 +1,28 @@
 //! Tuples: ordered value lists stored in heaps.
 
 use gaea_adt::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// An ordered list of values; validated against a
 /// [`crate::schema::Schema`] on insert/update.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The values live in one shared, immutable allocation, so cloning a
+/// tuple is a reference-count bump: a heap page copied after a freeze
+/// shares its tuples with the frozen page instead of re-allocating
+/// them, and stored tuples never move in memory.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Wrap values.
     pub fn new(values: Vec<Value>) -> Tuple {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// Number of fields.
@@ -37,14 +45,37 @@ impl Tuple {
         &self.values
     }
 
-    /// Replace field `i`, returning the old value.
+    /// Replace field `i`, returning the old value (copies the values
+    /// first if another tuple shares them).
     pub fn replace(&mut self, i: usize, v: Value) -> Value {
-        std::mem::replace(&mut self.values[i], v)
+        std::mem::replace(&mut Arc::make_mut(&mut self.values)[i], v)
     }
 
     /// Consume into values.
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values.to_vec()
+    }
+}
+
+/// Serialized as `{"values": [...]}`, the shape of the plain-`Vec`
+/// tuple it replaced, so stored snapshots read and write unchanged.
+impl Serialize for Tuple {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![(
+            Content::Str("values".to_string()),
+            self.values.to_content(),
+        )])
+    }
+}
+
+impl Deserialize for Tuple {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let map = c
+            .as_map()
+            .ok_or_else(|| DeError::new("expected map for Tuple"))?;
+        let values = serde::content_get(map, "values")
+            .ok_or_else(|| DeError::new("Tuple: missing field `values`"))?;
+        Ok(Tuple::new(Vec::from_content(values)?))
     }
 }
 
@@ -80,6 +111,14 @@ mod tests {
         let old = t.replace(0, Value::Int4(9));
         assert_eq!(old, Value::Int4(1));
         assert_eq!(t.get(0), &Value::Int4(9));
+    }
+
+    #[test]
+    fn serde_shape_is_a_values_list() {
+        let t = Tuple::new(vec![Value::Int4(1), Value::Text("x".into())]);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(json, r#"{"values":[{"Int4":1},{"Text":"x"}]}"#);
+        assert_eq!(serde_json::from_str::<Tuple>(&json).unwrap(), t);
     }
 
     #[test]

@@ -20,11 +20,13 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::oid::Oid;
+use crate::paged::PagedMap;
 
 /// Per-database version state: a logical clock plus the last-mutation
 /// stamp of every object and relation. Persisted inside snapshots so
-/// validity checks survive a save/load cycle.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// validity checks survive a save/load cycle. The per-object counters
+/// are paged copy-on-write, so a clone (a freeze) shares them.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VersionMap {
     /// Logical clock; strictly increases with every mutation.
     clock: u64,
@@ -32,79 +34,23 @@ pub struct VersionMap {
     relations: BTreeMap<String, u64>,
     /// OID → clock value of its last mutation. Entries are never removed:
     /// deletion is a mutation like any other.
-    objects: BTreeMap<u64, u64>,
-    /// When enabled (durable databases only), every tick is also recorded
-    /// here as `(relation, stamped oids)` so a write-ahead log can replay
-    /// the exact clock history — including bumps from rolled-back or
-    /// failed operations that no logged event otherwise accounts for.
-    /// Runtime-only: never serialized, absent after deserialization.
-    #[serde(skip)]
-    journal: Option<Vec<(String, Vec<u64>)>>,
+    objects: PagedMap<u64, u64>,
 }
 
 impl VersionMap {
-    /// Advance the clock and stamp `oid` within `rel`.
-    pub(crate) fn bump(&mut self, rel: &str, oid: Oid) {
+    /// Advance the clock once and stamp every given oid plus the
+    /// relation — one mutation, or one replayed journal entry.
+    pub(crate) fn bump_all(&mut self, rel: &str, oids: &[u64]) {
         self.clock += 1;
-        self.objects.insert(oid.0, self.clock);
+        for &oid in oids {
+            self.objects.insert(oid, self.clock);
+        }
         match self.relations.get_mut(rel) {
             Some(v) => *v = self.clock,
             None => {
                 self.relations.insert(rel.to_string(), self.clock);
             }
         }
-        if let Some(journal) = self.journal.as_mut() {
-            journal.push((rel.to_string(), vec![oid.0]));
-        }
-    }
-
-    /// Advance the clock and stamp every given oid plus the relation —
-    /// used when a whole relation is dropped.
-    pub(crate) fn bump_all(&mut self, rel: &str, oids: impl Iterator<Item = Oid>) {
-        self.clock += 1;
-        let mut stamped = Vec::new();
-        for oid in oids {
-            self.objects.insert(oid.0, self.clock);
-            stamped.push(oid.0);
-        }
-        self.relations.insert(rel.to_string(), self.clock);
-        if let Some(journal) = self.journal.as_mut() {
-            journal.push((rel.to_string(), stamped));
-        }
-    }
-
-    /// Start journaling ticks (idempotent). Only durable databases pay
-    /// the recording cost; everyone else keeps `journal = None`.
-    pub(crate) fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Vec::new());
-        }
-    }
-
-    /// Drain the recorded ticks since the last take (empty when
-    /// journaling is off).
-    pub(crate) fn take_journal(&mut self) -> Vec<(String, Vec<u64>)> {
-        self.journal
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// True when journaling is on and ticks have accumulated since the
-    /// last [`VersionMap::take_journal`].
-    pub(crate) fn journal_pending(&self) -> bool {
-        self.journal.as_ref().is_some_and(|j| !j.is_empty())
-    }
-
-    /// Replay one recorded tick exactly as [`VersionMap::bump_all`]
-    /// applied it — one clock advance, stamping `oids` and `rel` — but
-    /// without re-journaling it.
-    pub(crate) fn apply_recorded(&mut self, rel: &str, oids: &[u64]) {
-        self.clock += 1;
-        for &oid in oids {
-            self.objects.insert(oid, self.clock);
-        }
-        self.relations.insert(rel.to_string(), self.clock);
     }
 
     /// Current clock value.
@@ -122,19 +68,7 @@ impl VersionMap {
         self.relations.get(rel).copied().unwrap_or(0)
     }
 
-    /// A copy of the counters with journaling off — what a pinned read
-    /// view freezes. The live map may be mid-journal (ticks not yet
-    /// drained into the WAL); the copy must never re-log them.
-    pub(crate) fn clone_counters(&self) -> VersionMap {
-        VersionMap {
-            clock: self.clock,
-            relations: self.relations.clone(),
-            objects: self.objects.clone(),
-            journal: None,
-        }
-    }
-
-    /// A point-in-time copy of the counters.
+    /// A point-in-time view of the counters, sharing their pages.
     pub(crate) fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
             clock: self.clock,
@@ -149,12 +83,13 @@ impl VersionMap {
 /// stored objects. Comparing a snapshot entry with the live counter is a
 /// single integer comparison, so validating a derived result costs O(1)
 /// per input regardless of how much history has accumulated since.
+/// Capturing one shares the live counters' pages (O(pages), no copy).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreSnapshot {
     /// Clock value at capture time.
     pub clock: u64,
     /// OID → version at capture time.
-    pub object_versions: BTreeMap<u64, u64>,
+    pub object_versions: PagedMap<u64, u64>,
     /// Relation name → version at capture time.
     pub relation_versions: BTreeMap<String, u64>,
 }
@@ -180,12 +115,12 @@ mod tests {
         let mut v = VersionMap::default();
         assert_eq!(v.object(Oid(1)), 0);
         assert_eq!(v.relation("r"), 0);
-        v.bump("r", Oid(1));
-        v.bump("r", Oid(2));
+        v.bump_all("r", &[1]);
+        v.bump_all("r", &[2]);
         assert_eq!(v.object(Oid(1)), 1);
         assert_eq!(v.object(Oid(2)), 2);
         assert_eq!(v.relation("r"), 2);
-        v.bump("s", Oid(1));
+        v.bump_all("s", &[1]);
         assert_eq!(v.object(Oid(1)), 3);
         assert_eq!(v.relation("r"), 2);
         assert_eq!(v.relation("s"), 3);
@@ -195,9 +130,9 @@ mod tests {
     #[test]
     fn snapshot_is_a_frozen_view() {
         let mut v = VersionMap::default();
-        v.bump("r", Oid(1));
+        v.bump_all("r", &[1]);
         let snap = v.snapshot();
-        v.bump("r", Oid(1));
+        v.bump_all("r", &[1]);
         assert_eq!(snap.object_version(Oid(1)), 1);
         assert_eq!(v.object(Oid(1)), 2);
         assert_eq!(snap.relation_version("r"), 1);
@@ -207,8 +142,8 @@ mod tests {
     #[test]
     fn bump_all_stamps_every_oid_in_one_tick() {
         let mut v = VersionMap::default();
-        v.bump("r", Oid(1));
-        v.bump_all("r", [Oid(1), Oid(2)].into_iter());
+        v.bump_all("r", &[1]);
+        v.bump_all("r", &[1, 2]);
         assert_eq!(v.object(Oid(1)), 2);
         assert_eq!(v.object(Oid(2)), 2);
         assert_eq!(v.relation("r"), 2);
@@ -216,27 +151,24 @@ mod tests {
 
     #[test]
     fn journal_replay_reproduces_the_exact_counters() {
+        // The journal a durable database keeps is the list of ticks it
+        // applied; replaying that list rebuilds identical counters.
+        let ticks: Vec<(&str, Vec<u64>)> = vec![
+            ("r", vec![1]),
+            ("s", vec![2, 3]),
+            ("r", vec![1]),
+            ("t", vec![]),
+        ];
         let mut live = VersionMap::default();
-        live.enable_journal();
-        live.bump("r", Oid(1));
-        live.bump_all("s", [Oid(2), Oid(3)].into_iter());
-        live.bump("r", Oid(1));
-        live.bump_all("t", std::iter::empty());
-        assert!(live.journal_pending());
-        let ticks = live.take_journal();
-        assert!(!live.journal_pending());
-        assert_eq!(ticks.len(), 4);
-
         let mut replayed = VersionMap::default();
         for (rel, oids) in &ticks {
-            replayed.apply_recorded(rel, oids);
+            live.bump_all(rel, oids);
         }
-        assert_eq!(replayed.clock(), live.clock());
-        for oid in [1, 2, 3] {
-            assert_eq!(replayed.object(Oid(oid)), live.object(Oid(oid)));
+        for (rel, oids) in &ticks {
+            replayed.bump_all(rel, oids);
         }
-        for rel in ["r", "s", "t"] {
-            assert_eq!(replayed.relation(rel), live.relation(rel));
-        }
+        assert_eq!(replayed, live);
+        assert_eq!(replayed.clock(), 4);
+        assert_eq!(replayed.relation("t"), 4);
     }
 }

@@ -2,23 +2,26 @@
 //!
 //! [`crate::version::StoreSnapshot`] freezes the version *counters* —
 //! enough to validate memoized results, not enough to answer a query.
-//! A [`PinnedStore`] freezes the data too: an immutable copy of every
-//! relation (heaps, indexes, grids, statistics) plus the counter
-//! snapshot taken at the same instant, so a reader holding the view
-//! answers retrievals against exactly one committed state no matter how
-//! many commits land after the pin.
+//! A [`PinnedStore`] freezes the data too: every relation (heaps,
+//! indexes, grids, statistics) plus the counter snapshot taken at the
+//! same instant, so a reader holding the view answers retrievals against
+//! exactly one committed state no matter how many commits land after
+//! the pin.
 //!
-//! The copy is taken under the owner's exclusive borrow
-//! ([`crate::db::Database::pin`]), so a view can never observe a
-//! half-applied mutation. Views are plain values: wrap one in an `Arc`
-//! and every concurrent reader shares the same frozen state for free.
-//! Cost is one deep copy per pin — callers amortize by caching the view
-//! per clock value and re-pinning only after the clock moves.
+//! The freeze ([`crate::db::Database::freeze`]) is taken under the
+//! owner's exclusive borrow, so a view can never observe a half-applied
+//! mutation. It copies no data: relations are `Arc`-shared and their
+//! contents live in copy-on-write pages ([`crate::paged`]), so freezing
+//! costs O(relations + pages) and the *writer* pays the copying instead
+//! — the first write to a page after a freeze copies that one page
+//! (at most [`crate::paged::PAGE`] elements) and leaves the view's page
+//! untouched. Views are plain values: wrap one in an `Arc` and every
+//! concurrent reader shares the same frozen state.
 
 use crate::db::Database;
 use crate::version::StoreSnapshot;
 
-/// An immutable, self-contained copy of the store at one commit point:
+/// An immutable, self-contained view of the store at one commit point:
 /// the data a reader scans plus the version counters it validates
 /// staleness against. Dereferences to [`Database`], so every read-only
 /// accessor (`relation`, `get`, `scan`, `object_version`, …) works
@@ -26,22 +29,21 @@ use crate::version::StoreSnapshot;
 #[derive(Debug)]
 pub struct PinnedStore {
     db: Database,
-    snapshot: StoreSnapshot,
 }
 
 impl PinnedStore {
-    pub(crate) fn new(db: Database, snapshot: StoreSnapshot) -> PinnedStore {
-        PinnedStore { db, snapshot }
+    pub(crate) fn new(db: Database) -> PinnedStore {
+        PinnedStore { db }
     }
 
     /// The logical-clock value this view was pinned at.
     pub fn clock(&self) -> u64 {
-        self.snapshot.clock
+        self.db.version_clock()
     }
 
-    /// The version counters frozen with the data.
-    pub fn snapshot(&self) -> &StoreSnapshot {
-        &self.snapshot
+    /// The version counters frozen with the data (sharing their pages).
+    pub fn snapshot(&self) -> StoreSnapshot {
+        self.db.store_snapshot()
     }
 
     /// The frozen data, as a read-only database.
@@ -80,7 +82,7 @@ mod tests {
     #[test]
     fn pin_freezes_data_and_counters() {
         let mut db = db_with_rows(3);
-        let view = db.pin();
+        let view = db.freeze();
         let clock_at_pin = db.version_clock();
         db.insert("r", Tuple::new(vec![Value::Int4(99)])).unwrap();
 
@@ -95,7 +97,7 @@ mod tests {
     #[test]
     fn pinned_scans_match_the_state_at_pin_time() {
         let mut db = db_with_rows(5);
-        let view = db.pin();
+        let view = db.freeze();
         let before: Vec<_> = db
             .relation("r")
             .unwrap()
@@ -117,7 +119,7 @@ mod tests {
     fn pinned_indexes_survive_the_copy() {
         let mut db = db_with_rows(4);
         db.relation_mut("r").unwrap().create_index("v").unwrap();
-        let view = db.pin();
+        let view = db.freeze();
         let hits = view
             .relation("r")
             .unwrap()

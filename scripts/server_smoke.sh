@@ -16,10 +16,16 @@
 #   scripts/server_smoke.sh gate FILE.json  # only the bench p99 gate
 #
 # Gate mode reads a BENCH_q12_server.json produced by
-# `scripts/bench_summary.sh q12_server server_` and enforces the
-# tentpole's acceptance bound: with one writer continuously committing,
-# K=16 reader p99 must stay within 3x the idle-writer baseline —
-# snapshot-pinned reads must not block behind the commit path.
+# `scripts/bench_summary.sh q12_server server_` and enforces two bounds,
+# each a ratio of rows measured inside the same run (so runner speed
+# cancels out):
+#
+# * with one writer continuously committing, K=16 reader p99 must stay
+#   within 3x the idle-writer baseline — snapshot-pinned reads must not
+#   block behind the commit path;
+# * pinning right after a commit on a 100k-row extent must cost at most
+#   10x pinning on a 1k-row extent — a view publish is a copy-on-write
+#   freeze, O(pages), not a copy of the data (a deep copy is ~240x).
 
 set -u
 
@@ -41,6 +47,17 @@ if ratio > 3.0:
           "(p99 ratio > 3x)", file=sys.stderr)
     sys.exit(1)
 print("q12 gate: ok (within 3x)")
+
+small = rows["server_pin_1k"]["median_ns"]
+large = rows["server_pin_100k"]["median_ns"]
+pin_ratio = large / small if small else float("inf")
+print(f"q12 pin gate: pin after commit 1k={small:.0f}ns 100k={large:.0f}ns "
+      f"ratio={pin_ratio:.2f}")
+if pin_ratio > 10.0:
+    print("q12 pin gate: FAIL — publishing a view scales with the data "
+          "(pin 100k/1k > 10x)", file=sys.stderr)
+    sys.exit(1)
+print("q12 pin gate: ok (within 10x)")
 EOF
 }
 

@@ -303,4 +303,69 @@ proptest! {
             }
         }
     }
+
+    /// Published views are copy-on-write freezes: with pins interleaved
+    /// into a stream of inserts, updates, deletes and firings — and each
+    /// pinned view held to the end — every view still equals the deep
+    /// copy rendered when it was pinned: scans in storage order, object
+    /// and relation versions, and the catalog's serde JSON.
+    #[test]
+    fn pinned_views_equal_a_deep_copy_taken_at_pin_time(
+        steps in proptest::collection::vec(step_strategy(), 1..40),
+        deletes in proptest::collection::vec(0usize..64, 0..8),
+    ) {
+        let shared = SharedKernel::new(kernel());
+        let mut live_obs: Vec<ObjectId> = Vec::new();
+        let mut pinned: Vec<(String, Arc<ReadView>)> = Vec::new();
+        let mut deletes = deletes.into_iter();
+        for step in &steps {
+            match step {
+                Step::Insert(v) => live_obs.push(shared.exec(|g| {
+                    g.insert_object("obs", vec![("v", Value::Int4(*v))]).unwrap()
+                })),
+                Step::Update(i, v) if !live_obs.is_empty() => {
+                    let oid = live_obs[i % live_obs.len()];
+                    shared.exec(|g| g.update_object(oid, vec![("v", Value::Int4(*v))]).unwrap());
+                }
+                Step::Fire(i) if !live_obs.is_empty() => {
+                    let oid = live_obs[i % live_obs.len()];
+                    shared.exec(|g| g.run_process("COPY", &[("x", vec![oid])]).unwrap());
+                    // Interleave deletes of base objects with the firings.
+                    if let Some(d) = deletes.next() {
+                        let gone = live_obs.swap_remove(d % live_obs.len());
+                        shared.exec(|g| g.delete_object(gone).unwrap());
+                    }
+                }
+                Step::Pin => {
+                    let view = shared.pin();
+                    pinned.push((render_pinned(&view), view));
+                }
+                _ => {}
+            }
+        }
+        for (expected, view) in &pinned {
+            prop_assert_eq!(&render_pinned(view), expected);
+        }
+    }
+}
+
+/// A pinned view rendered as text: every relation's version and scan in
+/// storage order, the version of every OID the kernel can have
+/// allocated, and the catalog's serde JSON.
+fn render_pinned(view: &ReadView) -> String {
+    let db = view.store();
+    let mut out = format!("clock {}\n", view.clock());
+    for name in db.relation_names() {
+        out += &format!("rel {name} v{}\n", db.relation_version(name));
+        for (oid, t) in db.relation(name).unwrap().iter() {
+            out += &format!("  {} {:?} v{}\n", oid.0, t, db.object_version(oid));
+        }
+    }
+    for raw in 1..=db.next_oid() {
+        out += &format!("ver {raw} {}\n", db.object_version(gaea::store::Oid(raw)));
+    }
+    format!(
+        "{out}catalog {}\n",
+        serde_json::to_string(view.catalog()).unwrap()
+    )
 }

@@ -1,7 +1,11 @@
 //! Property-based tests on the storage substrate: CRUD model checking,
-//! transaction rollback exactness, index/scan agreement.
+//! transaction rollback exactness, index/scan agreement, and copy-on-write
+//! freezes that keep their state while the writer moves on.
 
 use gaea::adt::{GeoBox, TypeTag, Value};
+use gaea::core::kernel::{Gaea, ReadView};
+use gaea::core::ObjectId;
+use gaea::lang::{lower_program, parse};
 use gaea::store::{Database, Field, Oid, Predicate, Schema, Tuple};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -408,4 +412,296 @@ proptest! {
         prop_assert!(!oids.contains(&fresh), "OID reuse after snapshot");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+// ---- copy-on-write freezes -------------------------------------------
+
+/// A store-level step: CRUD on two relations, dropping (and recreating)
+/// one, or freezing the current state.
+#[derive(Debug, Clone)]
+enum FreezeOp {
+    Insert(usize, i32),
+    Update(usize, i32),
+    Delete(usize),
+    Drop(usize),
+    Freeze,
+}
+
+fn freeze_op_strategy() -> impl Strategy<Value = FreezeOp> {
+    prop_oneof![
+        4 => ((0usize..2), any::<i32>()).prop_map(|(r, v)| FreezeOp::Insert(r, v)),
+        3 => ((0usize..512), any::<i32>()).prop_map(|(i, v)| FreezeOp::Update(i, v)),
+        3 => (0usize..512).prop_map(FreezeOp::Delete),
+        1 => (0usize..2).prop_map(FreezeOp::Drop),
+        2 => Just(FreezeOp::Freeze),
+    ]
+}
+
+const FREEZE_RELS: [&str; 2] = ["a", "b"];
+
+/// Create relation `name` with an index on `v`, so frozen index pages
+/// are checked too.
+fn create_indexed(db: &mut Database, name: &str) {
+    db.create_relation(
+        name,
+        Schema::new(vec![Field::required("v", TypeTag::Int4)]).unwrap(),
+    )
+    .unwrap();
+    db.relation_mut(name).unwrap().create_index("v").unwrap();
+}
+
+/// Everything a frozen store answers, rendered as text: per relation its
+/// version, scan output in storage order and each index's order; per OID ever
+/// allocated its version; the clock. Rendered at freeze time this is a
+/// deep copy of the state the freeze must keep answering.
+fn render_store(db: &Database, oids: &[Oid]) -> String {
+    let mut out = format!("clock {}\n", db.version_clock());
+    for name in db.relation_names() {
+        let rel = db.relation(name).unwrap();
+        out += &format!("rel {name} v{}\n", db.relation_version(name));
+        for (oid, t) in rel.scan(&Predicate::True).unwrap() {
+            out += &format!("  {} {:?}\n", oid.0, t);
+        }
+        for pos in 0..rel.schema().arity() {
+            if let Some(idx) = rel.index_for(pos) {
+                out += &format!("  index {pos} {:?}\n", idx.sorted_oids(false));
+            }
+        }
+    }
+    for oid in oids {
+        out += &format!("ver {} {}\n", oid.0, db.object_version(*oid));
+    }
+    out
+}
+
+/// The fixture schema: items with an index on `g`, and a process that
+/// records tasks.
+const FIXTURE_DDL: &str = r#"
+CLASS item ( ATTRIBUTES: v = int4; g = int4; )
+CLASS knob ( ATTRIBUTES: x = int4; )
+CLASS knob_out ( ATTRIBUTES: y = int4; DERIVED BY: Pk )
+DEFINE PROCESS Pk (
+  OUTPUT knob_out
+  ARGUMENT ( k knob )
+  TEMPLATE { MAPPINGS: knob_out.y = k.x; }
+)
+DEFINE INDEX g ON item
+"#;
+
+fn fixture_schema() -> Gaea {
+    let mut g = Gaea::in_memory();
+    lower_program(&mut g, &parse(FIXTURE_DDL).unwrap()).unwrap();
+    g
+}
+
+fn item(v: i32) -> Vec<(&'static str, Value)> {
+    vec![("v", Value::Int4(v)), ("g", Value::Int4(v % 7))]
+}
+
+/// A kernel-level step: object CRUD, a process firing, or a freeze.
+#[derive(Debug, Clone)]
+enum KernelOp {
+    Insert(i32),
+    Update(usize, i32),
+    Delete(usize),
+    Fire(usize),
+    Freeze,
+}
+
+fn kernel_op_strategy() -> impl Strategy<Value = KernelOp> {
+    prop_oneof![
+        3 => any::<i32>().prop_map(KernelOp::Insert),
+        3 => ((0usize..512), any::<i32>()).prop_map(|(i, v)| KernelOp::Update(i, v)),
+        2 => (0usize..512).prop_map(KernelOp::Delete),
+        2 => (0usize..512).prop_map(KernelOp::Fire),
+        2 => Just(KernelOp::Freeze),
+    ]
+}
+
+/// A kernel view rendered as text: the store rendering plus the
+/// catalog's serde JSON.
+fn render_view(view: &ReadView, oids: &[Oid]) -> String {
+    let catalog = serde_json::to_string(view.catalog()).unwrap();
+    format!("{}catalog {catalog}\n", render_store(view.store(), oids))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Freezes interleaved with inserts, updates, deletes and relation
+    /// drops: after the whole sequence, every frozen state still equals
+    /// the deep copy rendered when it was taken — the writer's later
+    /// page copies never leak into a freeze.
+    #[test]
+    fn frozen_stores_keep_their_state(
+        ops in prop::collection::vec(freeze_op_strategy(), 1..160)
+    ) {
+        let mut db = Database::new();
+        for name in FREEZE_RELS {
+            create_indexed(&mut db, name);
+        }
+        // Start past a few page boundaries so page splits, merges and
+        // shared-page copies all happen.
+        let mut live: Vec<(usize, Oid)> = (0..300)
+            .map(|v| (0, db.insert("a", tuple(v)).unwrap()))
+            .collect();
+        let mut all: Vec<Oid> = live.iter().map(|(_, o)| *o).collect();
+        let mut frozen = Vec::new();
+        for op in ops {
+            match op {
+                FreezeOp::Insert(r, v) => {
+                    let oid = db.insert(FREEZE_RELS[r], tuple(v)).unwrap();
+                    live.push((r, oid));
+                    all.push(oid);
+                }
+                FreezeOp::Update(i, v) if !live.is_empty() => {
+                    let (r, oid) = live[i % live.len()];
+                    db.update(FREEZE_RELS[r], oid, tuple(v)).unwrap();
+                }
+                FreezeOp::Delete(i) if !live.is_empty() => {
+                    let (r, oid) = live.swap_remove(i % live.len());
+                    db.delete(FREEZE_RELS[r], oid).unwrap();
+                }
+                FreezeOp::Drop(r) => {
+                    db.drop_relation(FREEZE_RELS[r]).unwrap();
+                    create_indexed(&mut db, FREEZE_RELS[r]);
+                    live.retain(|(lr, _)| *lr != r);
+                }
+                FreezeOp::Freeze => {
+                    let view = db.freeze();
+                    prop_assert_eq!(render_store(&view, &all), render_store(&db, &all));
+                    frozen.push((render_store(&view, &all), all.len(), view));
+                }
+                _ => {}
+            }
+        }
+        for (expected, n, view) in &frozen {
+            prop_assert_eq!(&render_store(view, &all[..*n]), expected);
+            prop_assert_eq!(view.snapshot().clock, view.version_clock());
+        }
+    }
+
+    /// The same at the kernel level: freezes interleaved with object
+    /// CRUD and process firings keep their store data, counters and
+    /// catalog (task history, object directory) exactly as frozen.
+    #[test]
+    fn frozen_kernels_keep_their_state_and_catalog(
+        ops in prop::collection::vec(kernel_op_strategy(), 1..80)
+    ) {
+        let mut g = fixture_schema();
+        let knob = g.insert_object("knob", vec![("x", Value::Int4(0))]).unwrap();
+        let mut items: Vec<ObjectId> = (0..200)
+            .map(|v| g.insert_object("item", item(v)).unwrap())
+            .collect();
+        let mut all: Vec<Oid> = items.iter().map(|o| o.0).collect();
+        all.push(knob.0);
+        let mut frozen = Vec::new();
+        for op in ops {
+            match op {
+                KernelOp::Insert(v) => {
+                    let oid = g.insert_object("item", item(v)).unwrap();
+                    items.push(oid);
+                    all.push(oid.0);
+                }
+                KernelOp::Update(i, v) if !items.is_empty() => {
+                    g.update_object(items[i % items.len()], item(v)).unwrap();
+                }
+                KernelOp::Delete(i) if !items.is_empty() => {
+                    let oid = items.swap_remove(i % items.len());
+                    g.delete_object(oid).unwrap();
+                }
+                KernelOp::Fire(x) => {
+                    g.update_object(knob, vec![("x", Value::Int4(x as i32))]).unwrap();
+                    let run = g.run_process("Pk", &[("k", vec![knob])]).unwrap();
+                    all.extend(run.outputs.iter().map(|o| o.0));
+                }
+                KernelOp::Freeze => {
+                    let view = g.freeze();
+                    frozen.push((render_view(&view, &all), all.len(), view));
+                }
+                _ => {}
+            }
+        }
+        for (expected, n, view) in &frozen {
+            prop_assert_eq!(&render_view(view, &all[..*n]), expected);
+        }
+    }
+}
+
+/// The checked-in fixture was written by the pre-paging code (plain
+/// `Vec`/`BTreeMap` containers). The paged containers must serialize the
+/// same database to the same bytes, and load the old bytes unchanged.
+#[test]
+fn paged_containers_keep_the_snapshot_bytes() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/paged_snapshot");
+    // The exact statement sequence that produced the fixture.
+    let mut g = fixture_schema();
+    let rows: Vec<ObjectId> = (0..300)
+        .map(|v| g.insert_object("item", item(v)).unwrap())
+        .collect();
+    for (i, oid) in rows.iter().enumerate() {
+        if i % 5 == 0 {
+            g.delete_object(*oid).unwrap();
+        } else if i % 3 == 0 {
+            g.update_object(*oid, vec![("v", Value::Int4(-(i as i32)))])
+                .unwrap();
+        }
+    }
+    for v in 300..320 {
+        g.insert_object("item", item(v)).unwrap();
+    }
+    let knobs: Vec<ObjectId> = (0..5)
+        .map(|x| {
+            g.insert_object("knob", vec![("x", Value::Int4(x))])
+                .unwrap()
+        })
+        .collect();
+    for k in &knobs {
+        g.run_process("Pk", &[("k", vec![*k])]).unwrap();
+    }
+    g.update_object(knobs[2], vec![("x", Value::Int4(42))])
+        .unwrap();
+    g.run_process("Pk", &[("k", vec![knobs[2]])]).unwrap();
+
+    let out = std::env::temp_dir().join(format!("gaea-paged-fixture-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    std::fs::create_dir_all(&out).unwrap();
+    g.save(&out).unwrap();
+    for file in ["manifest.json", "catalog.json"] {
+        let want = std::fs::read(fixture.join(file)).unwrap();
+        let got = std::fs::read(out.join(file)).unwrap();
+        assert!(
+            got == want,
+            "{file} bytes differ from the pre-paging fixture"
+        );
+    }
+
+    // Loading the old bytes yields the same state, which saves back to
+    // the same bytes; its frozen view answers like the live kernel.
+    let back = Gaea::load(&fixture).unwrap();
+    let again = out.join("again");
+    std::fs::create_dir_all(&again).unwrap();
+    back.save(&again).unwrap();
+    for file in ["manifest.json", "catalog.json"] {
+        assert_eq!(
+            std::fs::read(again.join(file)).unwrap(),
+            std::fs::read(fixture.join(file)).unwrap()
+        );
+    }
+    // A load rebuilds indexes in storage order (ties may order
+    // differently than incremental maintenance left them), so compare
+    // everything else the frozen views answer.
+    let oids: Vec<Oid> = (1..400).map(Oid).collect();
+    let without_index_order = |text: String| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.trim_start().starts_with("index "))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(
+        without_index_order(render_view(&back.freeze(), &oids)),
+        without_index_order(render_view(&g.freeze(), &oids))
+    );
+    std::fs::remove_dir_all(&out).ok();
 }
